@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -38,15 +37,12 @@
 namespace {
 
 using lps::BitWriter;
-using lps::MakeSketch;
 using lps::SketchKind;
 using lps::SketchSpec;
 using lps::bench::Table;
 using lps::io::MemorySource;
-using lps::io::PipelineSink;
 using lps::io::StreamFeeder;
 using lps::io::UpdateDecoder;
-using lps::stream::ParallelPipeline;
 using lps::stream::Update;
 using lps::stream::UpdateStream;
 
@@ -151,12 +147,13 @@ SketchSpec IngestSpec() {
   return spec;
 }
 
-ParallelPipeline::Options PipelineOptions() {
-  ParallelPipeline::Options options;
-  options.shards = 2;
+lps::SketchConfig IngestConfig() {
+  lps::SketchConfig config;
+  config.spec = IngestSpec();
+  config.shards = 2;
   const unsigned cores = std::thread::hardware_concurrency();
-  options.threads = cores >= 4 ? 2 : 0;
-  return options;
+  config.threads = cores >= 4 ? 2 : 0;
+  return config;
 }
 
 std::vector<uint64_t> SerializedState(const lps::LinearSketch& sketch) {
@@ -195,24 +192,19 @@ OverlapRow MeasureOverlap(const std::string& format, const std::string& bytes,
   row.bytes = bytes.size();
   row.updates = decoded.size();
   const std::string path = MakeTempFile(bytes);
-  const SketchSpec spec = IngestSpec();
 
-  auto build_pipeline = [&](std::vector<std::unique_ptr<lps::LinearSketch>>*
-                                replicas,
-                            std::unique_ptr<ParallelPipeline>* pipeline) {
-    const ParallelPipeline::Options options = PipelineOptions();
-    replicas->clear();
-    std::vector<lps::LinearSketch*> raw;
-    for (int s = 0; s < options.shards; ++s) {
-      replicas->push_back(MakeSketch(spec));
-      raw.push_back(replicas->back().get());
-    }
-    *pipeline = std::make_unique<ParallelPipeline>(options);
-    (*pipeline)->Add("sketch", raw);
+  std::unique_ptr<lps::Topology> topology;
+  auto build_topology = [&topology] {
+    auto built = lps::Topology::Create(IngestConfig(), 0);
+    if (!built.ok()) std::exit(1);
+    topology = std::move(built.value());
   };
-
-  std::vector<std::unique_ptr<lps::LinearSketch>> replicas;
-  std::unique_ptr<ParallelPipeline> pipeline;
+  auto ingest = [&topology](const UpdateStream& updates) {
+    if (!topology->Push(updates.data(), updates.size()).ok() ||
+        !topology->Finish().ok()) {
+      std::exit(1);
+    }
+  };
 
   // Naive read-then-ingest: the pre-src/io shape of every tool. Each
   // stage completes before the next starts; wall = read + decode +
@@ -231,9 +223,8 @@ OverlapRow MeasureOverlap(const std::string& format, const std::string& bytes,
     UpdateStream updates;
     decoder.Consume(slurped.data(), slurped.size(), &updates);
     if (!decoder.Finish(&updates).ok()) std::exit(1);
-    build_pipeline(&replicas, &pipeline);
-    pipeline->Drive(updates);
-    pipeline->MergeShards();
+    build_topology();
+    ingest(updates);
   });
 
   // Async file-fed: StreamFeeder overlaps prefetch, decode, and ingest.
@@ -243,20 +234,21 @@ OverlapRow MeasureOverlap(const std::string& format, const std::string& bytes,
     if (!source.ok()) std::exit(1);
     StreamFeeder feeder(std::move(source.value()));
     if (!feeder.ReadHeader().ok()) std::exit(1);
-    build_pipeline(&replicas, &pipeline);
-    PipelineSink sink(pipeline.get(), nullptr, 0);
-    if (!feeder.Feed(std::ref(sink)).ok()) std::exit(1);
-    sink.Finish();
-    async_state = SerializedState(*replicas[0]);
+    build_topology();
+    lps::Status pushed;
+    auto fed = feeder.Feed([&](const Update* updates, size_t count) {
+      if (pushed.ok()) pushed = topology->Push(updates, count);
+    });
+    if (!fed.ok() || !pushed.ok() || !topology->Finish().ok()) std::exit(1);
+    async_state = SerializedState(topology->sketch());
   });
 
   // In-memory ceiling: the updates already decoded, no I/O at all.
   std::vector<uint64_t> memory_state;
   row.memory_seconds = BestSeconds(passes, [&] {
-    build_pipeline(&replicas, &pipeline);
-    pipeline->Drive(decoded);
-    pipeline->MergeShards();
-    memory_state = SerializedState(*replicas[0]);
+    build_topology();
+    ingest(decoded);
+    memory_state = SerializedState(topology->sketch());
   });
 
   // The overlap-efficiency components: each stage alone.

@@ -9,7 +9,7 @@
 // a bounded ring. At query time the replicas merge coordinate-wise into
 // one structure whose answers match single-stream ingestion — the final
 // state is bit-identical for ANY worker count, including the inline
-// threads=0 ShardedDriver mode — then the merged state round-trips
+// threads=0 mode — then the merged state round-trips
 // through a file, the way a shard would ship its summary to an
 // aggregator.
 //

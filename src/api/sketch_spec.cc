@@ -365,6 +365,55 @@ uint64_t EnforcedUniverse(const SketchSpec& spec) {
   }
 }
 
+Result<std::unique_ptr<LinearSketch>> DecodeSketchState(
+    const SketchSpec& spec, const std::vector<uint64_t>& words, size_t bits) {
+  const Status valid = ValidateSpec(spec);
+  if (!valid.ok()) return valid;
+  // Plain integer head checks first: Deserialize CHECK-aborts on
+  // corrupt state. The low 16 bits of every serialized sketch are "LS".
+  if (bits < 32 || words.empty() || words.size() < (bits + 63) / 64) {
+    return Status::InvalidArgument("sketch state truncated");
+  }
+  const uint64_t head = words[0];
+  if ((head & 0xFFFF) != 0x4C53) {
+    return Status::InvalidArgument("state is not a serialized sketch");
+  }
+  if (uint32_t((head >> 16) & 0xFF) != uint32_t(spec.kind)) {
+    return Status::InvalidArgument("sketch state kind does not match spec");
+  }
+  const auto version = uint32_t((head >> 24) & 0xFF);
+  if (version < 1 || version > kSketchFormatVersion) {
+    return Status::InvalidArgument("sketch state version unsupported");
+  }
+  auto sketch = MakeSketch(spec);
+  if (sketch == nullptr) {
+    return Status::InvalidArgument("unknown sketch kind");
+  }
+  // Serialized size and the leading word are pure functions of the
+  // spec — counters change values, never layout — so a fresh sketch is
+  // a template for both before Deserialize walks the state.
+  BitWriter probe;
+  sketch->Serialize(&probe);
+  if (bits != probe.bit_count() || words[0] != probe.words()[0]) {
+    return Status::InvalidArgument("sketch state does not match its spec");
+  }
+  {
+    BitReader reader(words, bits);
+    sketch->Deserialize(&reader);
+  }
+  sketch->Reset();
+  BitWriter zeroed;
+  sketch->Serialize(&zeroed);
+  if (zeroed.bit_count() != probe.bit_count() ||
+      zeroed.words() != probe.words()) {
+    return Status::InvalidArgument(
+        "sketch state parameters do not match its spec");
+  }
+  BitReader reader(words, bits);
+  sketch->Deserialize(&reader);
+  return sketch;
+}
+
 Result<SketchKind> SketchKindFromName(const std::string& name) {
   // SketchKindName is the single source of the names; invert it by scan
   // (21 entries — not a hot path).

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/stream/linear_sketch.h"
 #include "src/util/serialize.h"
@@ -59,6 +60,23 @@ struct SketchSpec {
   bool operator!=(const SketchSpec& o) const { return !(*this == o); }
 };
 
+/// A SketchSpec plus how one stream of it is ingested: the replica
+/// topology and the sliding-window configuration. lps::Topology builds
+/// from it; the server's CREATE requests and snapshot blobs carry it on
+/// the wire (server::SerializeConfig).
+struct SketchConfig {
+  SketchSpec spec;
+  /// 0 disables windowing; otherwise the WindowManager checkpoint
+  /// interval (window starts round down to multiples of this).
+  uint64_t window_checkpoint = 0;
+  /// Checkpoint ring bound; 0 = unbounded.
+  uint64_t max_checkpoints = 0;
+  /// ParallelPipeline topology for this stream. shards == 1 &&
+  /// threads == 0 ingests inline on the calling thread.
+  int32_t shards = 1;
+  int32_t threads = 0;
+};
+
 /// Constructs a sketch of spec.kind. Total over the enum: every kind
 /// builds (unused fields ignored, zeros resolve to library defaults);
 /// returns nullptr only for a kind value outside the enum (corrupt wire
@@ -85,6 +103,18 @@ Status ValidateSpec(const SketchSpec& spec);
 /// arbitrary 64-bit indices. Wire-facing ingest paths reject an index
 /// at or past this bound before it reaches the sketch.
 uint64_t EnforcedUniverse(const SketchSpec& spec);
+
+/// Decodes serialized state that arrived from outside the process — a
+/// snapshot, an epoch delta — as a sketch of `spec`: InvalidArgument,
+/// never a Deserialize abort, unless the spec passes ValidateSpec, the
+/// state's header (magic, kind, version), size and leading word match
+/// a fresh MakeSketch(spec) serialize, and the decoded sketch, Reset()
+/// and re-serialized, equals that fresh serialize. Reset leaves a
+/// sketch byte-identical to a freshly constructed one, so the last
+/// check proves EVERY parameter and seed matches the spec, which keeps
+/// Merge's parameter CHECK unreachable from the wire.
+Result<std::unique_ptr<LinearSketch>> DecodeSketchState(
+    const SketchSpec& spec, const std::vector<uint64_t>& words, size_t bits);
 
 /// Recovers the construction spec of a live sketch. Exact round-trip
 /// (MakeSketch(SpecOf(x)) serializes bit-identically to a reset x) for

@@ -48,14 +48,8 @@
 namespace lps::dist {
 
 /// Validates one epoch's serialized state against the stream config and
-/// decodes it into a sketch. This is what makes Merge's parameter CHECK
-/// unreachable from the wire: beyond the snapshot path's header checks
-/// (magic, kind, version, probe size/leading word), the decoded sketch
-/// is Reset() and re-serialized — Reset leaves a sketch byte-identical
-/// to a freshly constructed one, so equality with a fresh
-/// MakeSketch(config.spec) serialize proves EVERY parameter and seed
-/// matches the config, not just the leading word. The state is then
-/// decoded a second time into the validated object.
+/// decodes it into a sketch: DecodeSketchState(config.spec, ...), the
+/// check that makes Merge's parameter CHECK unreachable from the wire.
 Result<std::unique_ptr<LinearSketch>> DecodeEpochState(
     const server::SketchConfig& config, const std::vector<uint64_t>& words,
     size_t bits);

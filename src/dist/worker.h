@@ -1,16 +1,16 @@
 // Worker — the ingest half of the distributed aggregation tier.
 //
-// A Worker owns one stream's LOCAL ingestion topology (k identically-
-// seeded replicas, optionally driven by a ParallelPipeline — the same
-// composition TenantRegistry builds server-side) and turns it into a
-// sequence of epoch DELTAS: every `epoch_interval` updates it merges
-// its shards, serializes replica 0, Reset()s it, and ships the
-// serialized state upstream as an EpochBlob over the lps_serve frame
-// protocol. Because replica 0 restarts from zero after every ship, each
-// blob carries exactly one epoch's worth of stream, and the aggregator
-// reconstructs the whole prefix by folding the deltas with Merge — for
-// exact-arithmetic kinds bit-identically to solo ingest, in any fold
-// order, by linearity.
+// A Worker owns one stream's LOCAL lps::Topology (k identically-seeded
+// replicas, optionally driven by a ParallelPipeline — the same type each
+// TenantRegistry stream is, minus the window) and turns it into a
+// sequence of epoch DELTAS: its epoch step runs every `epoch_interval`
+// updates, after the shards merged, and serializes replica 0, Reset()s
+// it, and ships the serialized state upstream as an EpochBlob over the
+// lps_serve frame protocol. Because replica 0 restarts from zero after
+// every ship, each blob carries exactly one epoch's worth of stream, and
+// the aggregator reconstructs the whole prefix by folding the deltas
+// with Merge — for exact-arithmetic kinds bit-identically to solo
+// ingest, in any fold order, by linearity.
 //
 // Failure model: shipping is at-least-once. The uplink (EpochShipper)
 // reconnects with backoff and RE-SENDS the epoch it holds under the
@@ -27,10 +27,9 @@
 #include <string>
 #include <vector>
 
+#include "src/api/topology.h"
 #include "src/server/client.h"
 #include "src/server/protocol.h"
-#include "src/stream/linear_sketch.h"
-#include "src/stream/parallel_pipeline.h"
 #include "src/stream/update.h"
 #include "src/util/status.h"
 
@@ -91,6 +90,10 @@ class Worker {
   /// and builds the replicas + optional pipeline.
   static Result<std::unique_ptr<Worker>> Create(Options options);
 
+  // The topology's epoch step holds this object's address.
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
+
   /// Appends updates to the local stream, sealing and shipping an epoch
   /// at every epoch_interval boundary. Fails on an out-of-universe
   /// index or when an epoch could not be delivered within the uplink's
@@ -106,24 +109,20 @@ class Worker {
   Status Finish();
 
   uint64_t epochs_shipped() const { return epochs_; }
-  uint64_t updates_pushed() const { return updates_; }
+  uint64_t updates_pushed() const { return topology_->updates(); }
 
  private:
-  Worker(Options options, uint64_t interval,
-         std::vector<std::unique_ptr<LinearSketch>> replicas);
+  explicit Worker(Options options);
 
-  /// Merge shards, serialize replica 0's delta, Reset it, ship.
-  Status CloseEpoch(bool final_epoch);
+  /// The topology's epoch step: serialize replica 0's delta, Reset it,
+  /// ship.
+  Status ShipEpoch(uint64_t count, bool final_epoch);
 
   Options options_;
-  uint64_t interval_;
-  std::vector<std::unique_ptr<LinearSketch>> replicas_;
-  std::unique_ptr<stream::ParallelPipeline> pipeline_;  // null = inline
   EpochShipper shipper_;
-  uint64_t fill_ = 0;  ///< updates in the currently open epoch
+  std::unique_ptr<Topology> topology_;
   uint64_t seq_ = 0;
   uint64_t epochs_ = 0;
-  uint64_t updates_ = 0;
   bool finished_ = false;
 };
 

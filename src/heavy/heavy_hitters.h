@@ -40,8 +40,8 @@ class CsHeavyHitters : public LinearSketch {
     double phi = 0.1;     ///< heaviness threshold
     int rows = 0;         ///< 0 => Theta(log n)
     /// Rows of the (1 +- 0.1) norm estimator for p not in {2} and
-    /// non-strict streams; 0 => 1200 (see DESIGN.md on the cost of tight
-    /// median estimators). Ignored when an exact/cheap norm is available.
+    /// non-strict streams; 0 => 1200, which then dominates the per-update
+    /// cost. Ignored when an exact/cheap norm is available.
     int norm_rows = 0;
     /// Strict turnstile promise: for p == 1 the norm is then the exact
     /// running sum instead of a sketch.

@@ -10,18 +10,13 @@
 // stays at ring + queue, never the stream.
 //
 // Determinism: the sink sees every update exactly once, in stream
-// order. Downstream chunk boundaries are the SINK's business — a
+// order. Downstream chunk boundaries are the SINK's business — an
+// lps::Topology cuts epochs at fixed stream positions and its
 // ParallelPipeline re-cuts per-shard batches by its own fill rule — so
-// feeding through this path is bit-identical to in-memory ingest for
-// the same reasons the pipeline is bit-identical across thread counts
-// (tests/io_test.cc holds serialized state equal across the matrix).
-//
-// PipelineSink is the epoch-exact composition: it feeds a
-// ParallelPipeline, closing an epoch (MergeShards + WindowManager::
-// SealEpoch) every `epoch_interval` updates with batches split exactly
-// at the boundary — the same positions solo ingestion would seal, which
-// is what keeps sharded+threaded+async windows bit-identical for the
-// integer-counter kinds.
+// feeding a Topology through this path is bit-identical to in-memory
+// ingest for the same reasons the pipeline is bit-identical across
+// thread counts (tests/io_test.cc holds serialized state equal across
+// the matrix, windowed epochs included).
 #pragma once
 
 #include <cstdint>
@@ -30,9 +25,7 @@
 
 #include "src/io/byte_source.h"
 #include "src/io/update_decoder.h"
-#include "src/stream/parallel_pipeline.h"
 #include "src/stream/update.h"
-#include "src/stream/window_manager.h"
 #include "src/util/status.h"
 
 namespace lps::io {
@@ -97,33 +90,6 @@ class StreamFeeder {
   stream::UpdateStream pending_;  // decoded with the header, not yet fed
   bool fed_ = false;
   bool source_done_ = false;
-};
-
-/// A BatchSink feeding a ParallelPipeline in exact epochs. With
-/// epoch_interval == 0 there are no intermediate epochs: Finish() merges
-/// once (whole-stream ingest). With epoch_interval k, every k-th update
-/// closes an epoch — MergeShards(), then SealEpoch(k) on the window
-/// manager when one is attached — and Finish() closes the trailing
-/// partial epoch. Pass the object by std::ref when handing it to Feed.
-class PipelineSink {
- public:
-  PipelineSink(stream::ParallelPipeline* pipeline,
-               stream::WindowManager* window, uint64_t epoch_interval);
-
-  void operator()(const stream::Update* updates, size_t count);
-  /// Closes the trailing (partial) epoch; call after Feed returns.
-  void Finish();
-
-  uint64_t updates() const { return updates_; }
-
- private:
-  void CloseEpoch(uint64_t count);
-
-  stream::ParallelPipeline* pipeline_;
-  stream::WindowManager* window_;
-  uint64_t interval_;
-  uint64_t fill_ = 0;      // updates since the last epoch boundary
-  uint64_t updates_ = 0;
 };
 
 }  // namespace lps::io

@@ -8,7 +8,9 @@
 //   Construction      SketchSpec + MakeSketch / SpecOf (one registry for
 //                     all 21 kinds), plus the concrete classes for typed
 //                     access (core::LpSampler, heavy::CsHeavyHitters, ...)
-//   Ingestion         stream::StreamDriver (single-threaded batching),
+//   Ingestion         Topology (one stream's replicas + pipeline +
+//                     window + epoch loop, built from a SketchConfig),
+//                     stream::StreamDriver (single-threaded batching),
 //                     stream::ParallelPipeline (thread-per-shard runtime),
 //                     stream::WindowManager (sliding windows by
 //                     subtraction), io::StreamFeeder over io::ByteSource
@@ -31,6 +33,7 @@
 
 #include "src/api/query_result.h"
 #include "src/api/sketch_spec.h"
+#include "src/api/topology.h"
 #include "src/apps/moment_estimation.h"
 #include "src/core/ako_sampler.h"
 #include "src/core/fis_l0_sampler.h"

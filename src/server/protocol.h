@@ -88,21 +88,9 @@ inline constexpr int kDefaultPort = 4321;
 
 // ------------------------------------------------------------ payloads --
 
-/// Everything CREATE needs beyond the spec: the per-tenant ingestion
-/// topology and the sliding-window configuration. Serialized inside
-/// CREATE requests and snapshot blobs.
-struct SketchConfig {
-  SketchSpec spec;
-  /// 0 disables windowing; otherwise the WindowManager checkpoint
-  /// interval (window starts round down to multiples of this).
-  uint64_t window_checkpoint = 0;
-  /// Checkpoint ring bound; 0 = unbounded.
-  uint64_t max_checkpoints = 0;
-  /// ParallelPipeline topology for this tenant's stream. shards == 1 &&
-  /// threads == 0 ingests inline on the serving thread.
-  int32_t shards = 1;
-  int32_t threads = 0;
-};
+/// CREATE requests and snapshot blobs carry the stream's SketchConfig
+/// (src/api/sketch_spec.h): spec, topology and window configuration.
+using SketchConfig = lps::SketchConfig;
 
 void SerializeConfig(const SketchConfig& config, BitWriter* writer);
 SketchConfig DeserializeConfig(BitReader* reader);

@@ -10,12 +10,6 @@ namespace lps::server {
 
 namespace {
 
-// Low 16 bits of every serialized sketch ("LS"), used to pre-validate
-// snapshot blobs with a plain integer test — the BitReader/Deserialize
-// path CHECK-aborts on corrupt state, which a daemon must not do on
-// behalf of a client.
-constexpr uint64_t kSketchMagic = 0x4C53;
-
 // record_kind tags for tenant records in the checkpoint store. Window
 // delta records live under a different key prefix ("w:" vs "t:") with
 // their own tag, so the namespaces cannot collide.
@@ -55,49 +49,19 @@ bool UnpackBits(const std::vector<uint8_t>& bytes, BitReader* out) {
   return true;
 }
 
+// A snapshot's stream keeps its config, including the window cadence
+// its epochs close on.
+Result<std::unique_ptr<Topology>> RestoreTopology(const SnapshotBlob& blob) {
+  return Topology::Restore(blob.config, blob.config.window_checkpoint,
+                           blob.state_words, blob.state_bits);
+}
+
 }  // namespace
 
 void TenantRegistry::AttachStore(persist::CheckpointStore* store,
                                  PersistOptions options) {
   store_ = store;
   persist_options_ = options;
-}
-
-Result<std::shared_ptr<TenantRegistry::Entry>> TenantRegistry::BuildEntry(
-    const SketchConfig& config) {
-  if (config.shards < 1 || config.shards > 1024) {
-    return Status::InvalidArgument("shards must be in [1, 1024]");
-  }
-  if (config.threads < 0 || config.threads > 1024) {
-    return Status::InvalidArgument("threads must be in [0, 1024]");
-  }
-  // The spec arrived from the wire: out-of-range values would CHECK-
-  // abort inside the sketch constructors, so they must be rejected
-  // here, as a response the client can read.
-  const Status valid = ValidateSpec(config.spec);
-  if (!valid.ok()) return valid;
-  auto entry = std::make_shared<Entry>();
-  entry->config = config;
-  entry->replicas.reserve(size_t(config.shards));
-  for (int32_t s = 0; s < config.shards; ++s) {
-    auto replica = MakeSketch(config.spec);
-    if (replica == nullptr) {
-      return Status::InvalidArgument("unknown sketch kind");
-    }
-    entry->replicas.push_back(std::move(replica));
-  }
-  if (config.shards > 1 || config.threads > 0) {
-    stream::ParallelPipeline::Options options;
-    options.shards = config.shards;
-    options.threads = config.threads;
-    entry->pipeline =
-        std::make_unique<stream::ParallelPipeline>(options);
-    std::vector<LinearSketch*> raw;
-    raw.reserve(entry->replicas.size());
-    for (const auto& replica : entry->replicas) raw.push_back(replica.get());
-    entry->pipeline->Add("sketch", std::move(raw));
-  }
-  return entry;
 }
 
 std::shared_ptr<TenantRegistry::Entry> TenantRegistry::Find(
@@ -131,38 +95,35 @@ std::shared_ptr<TenantRegistry::Entry> TenantRegistry::FindLive(
   }
 }
 
-void TenantRegistry::AttachEntrySpill(Entry* entry,
-                                      const std::string& map_key) {
-  if (store_ == nullptr || entry->window == nullptr ||
-      persist_options_.resident_checkpoints == 0) {
-    return;
-  }
-  stream::WindowManager::SpillOptions spill;
-  spill.store = store_;
-  spill.stream_key = "w:" + map_key;
-  spill.resident_checkpoints = persist_options_.resident_checkpoints;
-  spill.keyframe_interval = persist_options_.keyframe_interval;
-  entry->window->AttachSpill(std::move(spill));
-}
-
-Status TenantRegistry::Create(const std::string& tenant,
-                              const std::string& key,
-                              const SketchConfig& config) {
-  auto built = BuildEntry(config);
-  if (!built.ok()) return built.status();
-  std::shared_ptr<Entry> entry = *built;
-  if (config.window_checkpoint > 0) {
-    stream::WindowManager::Options options;
-    options.checkpoint_interval = config.window_checkpoint;
-    options.max_checkpoints = size_t(config.max_checkpoints);
-    entry->window = std::make_unique<stream::WindowManager>(
-        entry->replicas[0].get(), options);
-  }
-  const std::string map_key = MapKey(tenant, key);
+std::shared_ptr<TenantRegistry::Entry> TenantRegistry::NewEntry(
+    std::unique_ptr<Topology> topology, const std::string& tenant,
+    const std::string& key, uint64_t updates_seen) {
+  auto entry = std::make_shared<Entry>();
+  entry->topology = std::move(topology);
   entry->tenant = tenant;
   entry->key = key;
+  entry->updates_seen = updates_seen;
   entry->last_touch_ms = NowMs();
-  AttachEntrySpill(entry.get(), map_key);
+  stream::WindowManager* window = entry->topology->window();
+  if (store_ != nullptr && window != nullptr &&
+      persist_options_.resident_checkpoints > 0) {
+    stream::WindowManager::SpillOptions spill;
+    spill.store = store_;
+    spill.stream_key = "w:" + MapKey(tenant, key);
+    spill.resident_checkpoints = persist_options_.resident_checkpoints;
+    spill.keyframe_interval = persist_options_.keyframe_interval;
+    window->AttachSpill(std::move(spill));
+  }
+  return entry;
+}
+
+Status TenantRegistry::Insert(const std::string& tenant,
+                              const std::string& key,
+                              Result<std::unique_ptr<Topology>> built,
+                              uint64_t updates_seen) {
+  if (!built.ok()) return built.status();
+  const std::string map_key = MapKey(tenant, key);
+  auto entry = NewEntry(std::move(built.value()), tenant, key, updates_seen);
   MapShard& shard = ShardFor(map_key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   if (!shard.entries.emplace(map_key, std::move(entry)).second) {
@@ -170,6 +131,13 @@ Status TenantRegistry::Create(const std::string& tenant,
                                    key);
   }
   return Status::OK();
+}
+
+Status TenantRegistry::Create(const std::string& tenant,
+                              const std::string& key,
+                              const SketchConfig& config) {
+  auto built = Topology::Create(config, config.window_checkpoint);
+  return Insert(tenant, key, std::move(built), 0);
 }
 
 Result<uint64_t> TenantRegistry::Ingest(
@@ -180,49 +148,9 @@ Result<uint64_t> TenantRegistry::Ingest(
   if (entry == nullptr) {
     return Status::InvalidArgument("no such sketch: " + tenant + "/" + key);
   }
-  // The sampler/recovery kinds CHECK index < n on every update; an
-  // out-of-universe index from the wire must be an error response, not
-  // a daemon abort.
-  if (const uint64_t bound = EnforcedUniverse(entry->config.spec)) {
-    for (const stream::Update& update : updates) {
-      if (update.index >= bound) {
-        return Status::InvalidArgument(
-            "update index " + std::to_string(update.index) +
-            " outside universe [0, " + std::to_string(bound) + ")");
-      }
-    }
-  }
+  const Status pushed = entry->topology->Push(updates.data(), updates.size());
+  if (!pushed.ok()) return pushed;
   entry->last_touch_ms = NowMs();
-  if (entry->pipeline != nullptr) {
-    if (entry->window != nullptr) {
-      // Close pipeline epochs exactly at checkpoint boundaries so the
-      // sealed positions match a single-process WindowManager fed the
-      // same stream (the bit-identity contract).
-      const uint64_t interval = entry->window->checkpoint_interval();
-      const stream::Update* cursor = updates.data();
-      size_t remaining = updates.size();
-      while (remaining > 0) {
-        const uint64_t room = interval - entry->epoch_fill;
-        const size_t chunk = size_t(remaining < room ? remaining : room);
-        entry->pipeline->Drive(cursor, chunk);
-        entry->epoch_fill += chunk;
-        cursor += chunk;
-        remaining -= chunk;
-        if (entry->epoch_fill == interval) {
-          entry->pipeline->MergeShards();
-          entry->window->SealEpoch(interval);
-          entry->epoch_fill = 0;
-        }
-      }
-    } else {
-      entry->pipeline->Drive(updates.data(), updates.size());
-      entry->epoch_fill += updates.size();
-    }
-  } else if (entry->window != nullptr) {
-    entry->window->PushBatch(updates.data(), updates.size());
-  } else {
-    entry->replicas[0]->UpdateBatch(updates.data(), updates.size());
-  }
   entry->updates_seen += updates.size();
   updates_.fetch_add(updates.size(), std::memory_order_relaxed);
   ingests_.fetch_add(1, std::memory_order_relaxed);
@@ -253,37 +181,25 @@ Status TenantRegistry::FoldEpoch(const std::string& tenant,
   // byte-for-byte, else Merge would CHECK on mismatched parameters.
   BitWriter ours;
   BitWriter theirs;
-  SerializeSpec(entry->config.spec, &ours);
+  SerializeSpec(entry->topology->config().spec, &ours);
   SerializeSpec(config.spec, &theirs);
   if (ours.bit_count() != theirs.bit_count() ||
       ours.words() != theirs.words()) {
     return Status::InvalidArgument("epoch spec does not match stream " +
                                    tenant + "/" + key);
   }
-  // Mixed ingest (direct INGEST plus folded epochs) must not fold into
-  // a replica that lags an open pipeline epoch.
-  Quiesce(entry.get());
+  // Fold closes any open pipeline epoch first, so mixed ingest (direct
+  // INGEST plus folded epochs) never folds into a lagging replica. The
+  // checkpoint it seals reflects fold ARRIVAL order across workers —
+  // window starts are aggregator-local, only the whole prefix is
+  // order-independent (docs/architecture.md, failure semantics).
+  const Status folded = entry->topology->Fold(delta, count);
+  if (!folded.ok()) return folded;
   entry->last_touch_ms = NowMs();
-  entry->replicas[0]->Merge(delta);
-  if (entry->window != nullptr && count > 0) {
-    // Checkpoint positions reflect fold ARRIVAL order across workers —
-    // window starts are aggregator-local, only the whole prefix is
-    // order-independent (docs/architecture.md, failure semantics).
-    entry->window->SealEpoch(count);
-  }
   entry->updates_seen += count;
   updates_.fetch_add(count, std::memory_order_relaxed);
   ingests_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
-}
-
-void TenantRegistry::Quiesce(Entry* entry) {
-  if (entry->pipeline == nullptr || entry->epoch_fill == 0) return;
-  entry->pipeline->MergeShards();
-  if (entry->window != nullptr) {
-    entry->window->SealEpoch(entry->epoch_fill);
-  }
-  entry->epoch_fill = 0;
 }
 
 Result<QueryResult> TenantRegistry::Query(const std::string& tenant,
@@ -294,9 +210,9 @@ Result<QueryResult> TenantRegistry::Query(const std::string& tenant,
     return Status::InvalidArgument("no such sketch: " + tenant + "/" + key);
   }
   entry->last_touch_ms = NowMs();
-  Quiesce(entry.get());
+  entry->topology->CloseEpoch();
   queries_.fetch_add(1, std::memory_order_relaxed);
-  return lps::Query(*entry->replicas[0]);
+  return lps::Query(entry->topology->sketch());
 }
 
 Result<TenantRegistry::WindowAnswer> TenantRegistry::Window(
@@ -307,13 +223,14 @@ Result<TenantRegistry::WindowAnswer> TenantRegistry::Window(
   if (entry == nullptr) {
     return Status::InvalidArgument("no such sketch: " + tenant + "/" + key);
   }
-  if (entry->window == nullptr) {
+  if (entry->topology->window() == nullptr) {
     return Status::InvalidArgument("windowing not enabled for " + tenant +
                                    "/" + key);
   }
   entry->last_touch_ms = NowMs();
-  Quiesce(entry.get());
-  stream::WindowManager::Window window = entry->window->WindowSketch(w);
+  entry->topology->CloseEpoch();
+  stream::WindowManager::Window window =
+      entry->topology->window()->WindowSketch(w);
   WindowAnswer answer;
   answer.result = lps::Query(*window.sketch);
   answer.start = window.start;
@@ -336,91 +253,14 @@ Result<SnapshotBlob> TenantRegistry::Snapshot(const std::string& tenant,
     return Status::InvalidArgument("no such sketch: " + tenant + "/" + key);
   }
   entry->last_touch_ms = NowMs();
-  Quiesce(entry.get());
-  SnapshotBlob blob;
-  blob.config = entry->config;
-  blob.updates_seen = entry->updates_seen;
-  BitWriter writer;
-  entry->replicas[0]->Serialize(&writer);
-  blob.state_words = writer.words();
-  blob.state_bits = writer.bit_count();
   snapshots_.fetch_add(1, std::memory_order_relaxed);
-  return blob;
-}
-
-Result<std::shared_ptr<TenantRegistry::Entry>> TenantRegistry::BuildFromSnapshot(
-    const SnapshotBlob& blob) {
-  // Pre-validate the state head with plain integer tests: Deserialize
-  // CHECK-aborts on corrupt state, which must stay unreachable from the
-  // wire (and from a store record damaged below the CRC's notice).
-  if (blob.state_bits < 32 || blob.state_words.empty() ||
-      blob.state_words.size() < (blob.state_bits + 63) / 64) {
-    return Status::InvalidArgument("snapshot state truncated");
-  }
-  const uint64_t head = blob.state_words[0];
-  if ((head & 0xFFFF) != kSketchMagic) {
-    return Status::InvalidArgument("snapshot state is not a serialized sketch");
-  }
-  const auto state_kind = uint32_t((head >> 16) & 0xFF);
-  if (state_kind != uint32_t(blob.config.spec.kind)) {
-    return Status::InvalidArgument(
-        "snapshot state kind does not match its config");
-  }
-  const auto version = uint32_t((head >> 24) & 0xFF);
-  if (version < 1 || version > kSketchFormatVersion) {
-    return Status::InvalidArgument("snapshot state version unsupported");
-  }
-
-  auto built = BuildEntry(blob.config);
-  if (!built.ok()) return built.status();
-  std::shared_ptr<Entry> entry = *built;
-  // Serialized size and the leading word (header + first parameter
-  // bits) are pure functions of the config — counters only change
-  // values, never layout. A fresh replica of the same (already
-  // validated) config is therefore an exact template for both, which
-  // rejects truncated, padded, or version-skewed state before
-  // Deserialize walks it.
-  BitWriter probe;
-  entry->replicas[0]->Serialize(&probe);
-  if (blob.state_bits != probe.bit_count() ||
-      blob.state_words[0] != probe.words()[0]) {
-    return Status::InvalidArgument(
-        "snapshot state does not match its declared config");
-  }
-  BitReader reader(blob.state_words, blob.state_bits);
-  entry->replicas[0]->Deserialize(&reader);
-  entry->updates_seen = blob.updates_seen;
-  // Attach windowing AFTER the restore so the restored prefix becomes
-  // checkpoint position 0: the snapshot is the stream's new origin, and
-  // windows reach back at most to the restore point.
-  if (blob.config.window_checkpoint > 0) {
-    stream::WindowManager::Options options;
-    options.checkpoint_interval = blob.config.window_checkpoint;
-    options.max_checkpoints = size_t(blob.config.max_checkpoints);
-    entry->window = std::make_unique<stream::WindowManager>(
-        entry->replicas[0].get(), options);
-  }
-  return entry;
+  return SnapshotLocked(entry.get());
 }
 
 Status TenantRegistry::Restore(const std::string& tenant,
                                const std::string& key,
                                const SnapshotBlob& blob) {
-  auto built = BuildFromSnapshot(blob);
-  if (!built.ok()) return built.status();
-  std::shared_ptr<Entry> entry = *built;
-  const std::string map_key = MapKey(tenant, key);
-  entry->tenant = tenant;
-  entry->key = key;
-  entry->last_touch_ms = NowMs();
-  AttachEntrySpill(entry.get(), map_key);
-  MapShard& shard = ShardFor(map_key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  if (!shard.entries.emplace(map_key, std::move(entry)).second) {
-    return Status::InvalidArgument("sketch already exists: " + tenant + "/" +
-                                   key);
-  }
-  return Status::OK();
+  return Insert(tenant, key, RestoreTopology(blob), blob.updates_seen);
 }
 
 Status TenantRegistry::Drop(const std::string& tenant, const std::string& key) {
@@ -455,20 +295,24 @@ Status TenantRegistry::Drop(const std::string& tenant, const std::string& key) {
   return st;
 }
 
+SnapshotBlob TenantRegistry::SnapshotLocked(Entry* entry) {
+  entry->topology->CloseEpoch();
+  SnapshotBlob blob;
+  blob.config = entry->topology->config();
+  blob.updates_seen = entry->updates_seen;
+  BitWriter state;
+  entry->topology->sketch().Serialize(&state);
+  blob.state_words = state.words();
+  blob.state_bits = state.bit_count();
+  return blob;
+}
+
 Status TenantRegistry::PersistEntryLocked(Entry* entry,
                                           const std::string& map_key) {
-  Quiesce(entry);
   BitWriter writer;
   WriteString(&writer, entry->tenant);
   WriteString(&writer, entry->key);
-  SnapshotBlob blob;
-  blob.config = entry->config;
-  blob.updates_seen = entry->updates_seen;
-  BitWriter state;
-  entry->replicas[0]->Serialize(&state);
-  blob.state_words = state.words();
-  blob.state_bits = state.bit_count();
-  SerializeSnapshot(blob, &writer);
+  SerializeSnapshot(SnapshotLocked(entry), &writer);
   const std::vector<uint8_t> payload = PackBits(writer);
   const Status st = store_->Append("t:" + map_key, kTenantSnapshotRecord,
                                    payload.data(), payload.size());
@@ -541,15 +385,12 @@ std::shared_ptr<TenantRegistry::Entry> TenantRegistry::RehydrateTenant(
   // under — a mismatch means the record was damaged below the CRC's
   // notice or misfiled, either way unusable.
   if (reader.failed() || MapKey(tenant, key) != map_key) return nullptr;
-  auto built = BuildFromSnapshot(blob);
+  auto built = RestoreTopology(blob);
   if (!built.ok()) return nullptr;
-  std::shared_ptr<Entry> entry = *built;
-  entry->tenant = tenant;
-  entry->key = key;
-  entry->last_touch_ms = NowMs();
+  const uint64_t updates_seen = blob.updates_seen;
+  auto entry = NewEntry(std::move(built.value()), tenant, key, updates_seen);
   // The snapshot we just rebuilt from IS the persisted state.
   entry->persisted_updates = entry->updates_seen;
-  AttachEntrySpill(entry.get(), map_key);
   MapShard& shard = ShardFor(map_key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto emplaced = shard.entries.emplace(map_key, std::move(entry));
@@ -601,9 +442,9 @@ ServerStats TenantRegistry::Stats() const {
     std::lock_guard<std::mutex> lock(entry->mutex);
     TenantPersistStats tenant;
     tenant.name = entry->tenant + "/" + entry->key;
-    if (entry->window != nullptr) {
-      tenant.resident_bytes = entry->window->CheckpointBytes();
-      tenant.spilled_bytes = entry->window->SpilledBytes();
+    if (const auto* window = entry->topology->window()) {
+      tenant.resident_bytes = window->CheckpointBytes();
+      tenant.spilled_bytes = window->SpilledBytes();
     }
     tenant.resident = true;
     stats.resident_bytes += tenant.resident_bytes;

@@ -1,13 +1,11 @@
 // TenantRegistry — the named-sketch store behind lps_serve.
 //
-// Each (tenant, key) pair owns one logical sketch plus its ingestion
-// topology: k identically-seeded replicas (built through the MakeSketch
-// registry from the CREATE request's SketchSpec), optionally a
+// Each (tenant, key) pair owns one lps::Topology built from the CREATE
+// request's SketchConfig: k identically-seeded replicas, optionally a
 // ParallelPipeline driving them from worker threads, optionally a
 // WindowManager giving the stream trailing-window queries by sketch
-// subtraction. The registry is the only layer that knows how those
-// existing runtimes compose — the transport layer above it just decodes
-// frames and calls one method per opcode.
+// subtraction. The transport layer above just decodes frames and calls
+// one method per opcode.
 //
 // Concurrency model (two levels, both sized for many tenants):
 //
@@ -25,17 +23,15 @@
 //     the operation's shared_ptr keeps the entry alive until it
 //     returns.
 //
-// Epoch sealing (how WINDOW composes with a pipeline): replica 0 holds
-// the whole prefix only after MergeShards(), so checkpoints are sealed
-// at epoch boundaries. Ingest drives checkpoint-interval-sized chunks
-// and closes an epoch (MergeShards + SealEpoch) exactly at each
-// boundary — therefore a server-side stream and a single-process
-// WindowManager fed the same updates seal checkpoints at the SAME
-// positions, and for exact-arithmetic kinds the materialized windows
-// are bit-identical (tests/server_test.cc proves it against a solo
-// WindowManager). Queries arriving mid-epoch quiesce first: the partial
-// epoch is merged and sealed, which may add a checkpoint at an
-// unaligned position — window starts then round to it, never past it.
+// Epoch sealing (how WINDOW composes with a pipeline): each stream's
+// epochs close every window_checkpoint updates (src/api/topology.h), so
+// a server-side stream and a single-process WindowManager fed the same
+// updates seal checkpoints at the SAME positions, and for exact-
+// arithmetic kinds the materialized windows are bit-identical
+// (tests/server_test.cc proves it against a solo WindowManager). Reads
+// arriving mid-epoch close the partial epoch first, which may add a
+// checkpoint at an unaligned position — window starts then round to
+// it, never past it.
 #pragma once
 
 #include <atomic>
@@ -46,12 +42,11 @@
 #include <vector>
 
 #include "src/api/query_result.h"
+#include "src/api/topology.h"
 #include "src/persist/checkpoint_store.h"
 #include "src/server/protocol.h"
 #include "src/stream/linear_sketch.h"
-#include "src/stream/parallel_pipeline.h"
 #include "src/stream/update.h"
-#include "src/stream/window_manager.h"
 #include "src/util/status.h"
 
 namespace lps::server {
@@ -107,11 +102,11 @@ class TenantRegistry {
   Status Create(const std::string& tenant, const std::string& key,
                 const SketchConfig& config);
 
-  /// Appends a batch of updates to the stream. Routed through the
-  /// entry's pipeline when one is configured, else applied inline;
+  /// Appends a batch of updates to the stream through its topology;
   /// window checkpoints are sealed at exact checkpoint_interval
-  /// positions either way. Returns the stream's updates_seen after the
-  /// batch (the cumulative position INGEST_SYNC acks report).
+  /// positions whatever the shard/thread count. Returns the stream's
+  /// updates_seen after the batch (the cumulative position INGEST_SYNC
+  /// acks report).
   Result<uint64_t> Ingest(const std::string& tenant, const std::string& key,
                           const std::vector<stream::Update>& updates);
 
@@ -128,7 +123,7 @@ class TenantRegistry {
                    const SketchConfig& config, const LinearSketch& delta,
                    uint64_t count);
 
-  /// Whole-stream query: quiesces any open pipeline epoch, then answers
+  /// Whole-stream query: closes any open pipeline epoch, then answers
   /// from replica 0 with the same unified QueryResult the CLI prints.
   Result<QueryResult> Query(const std::string& tenant, const std::string& key);
 
@@ -154,19 +149,14 @@ class TenantRegistry {
   ServerStats Stats() const;
 
  private:
-  /// One (tenant, key) stream. Member order matters for destruction:
-  /// the pipeline references the replicas and the window manager
-  /// references replica 0, so both must die before `replicas` does.
+  /// One (tenant, key) stream. The topology installs no epoch step, so
+  /// its CloseEpoch/Fold never fail.
   struct Entry {
     std::mutex mutex;
-    SketchConfig config;
-    std::vector<std::unique_ptr<LinearSketch>> replicas;
-    std::unique_ptr<stream::ParallelPipeline> pipeline;  // null = inline
-    std::unique_ptr<stream::WindowManager> window;       // null = no windows
+    std::unique_ptr<Topology> topology;
+    /// Updates since the stream was created, including those a restored
+    /// snapshot already held.
     uint64_t updates_seen = 0;
-    /// Updates driven into the pipeline since the last MergeShards —
-    /// replica 0 lags the stream by exactly this many.
-    uint64_t epoch_fill = 0;
     // ---- persistence bookkeeping (all under `mutex`) ----
     std::string tenant;  // wire names, for self-describing store records
     std::string key;
@@ -209,26 +199,22 @@ class TenantRegistry {
                                   const std::string& key,
                                   std::unique_lock<std::mutex>* lock);
 
-  /// The snapshot-validation + rebuild half of Restore, shared with
-  /// rehydration: validates the blob's state against a probe serialize
-  /// of its declared config, deserializes it, and attaches windowing
-  /// with the restored prefix as checkpoint position 0. The entry is
-  /// NOT yet inserted and carries no tenant/key names.
-  Result<std::shared_ptr<Entry>> BuildFromSnapshot(const SnapshotBlob& blob);
+  /// Wraps a built topology in a not-yet-inserted entry, wiring window
+  /// spill when a store is attached.
+  std::shared_ptr<Entry> NewEntry(std::unique_ptr<Topology> topology,
+                                  const std::string& tenant,
+                                  const std::string& key,
+                                  uint64_t updates_seen);
 
-  /// Builds an entry's replicas/pipeline/window from its config.
-  /// Returns InvalidArgument without mutating the registry on a bad
-  /// config. The new entry is NOT yet inserted.
-  Result<std::shared_ptr<Entry>> BuildEntry(const SketchConfig& config);
+  /// Create/Restore's tail: inserts the built topology, or returns its
+  /// build error, or InvalidArgument if (tenant, key) is live.
+  Status Insert(const std::string& tenant, const std::string& key,
+                Result<std::unique_ptr<Topology>> built,
+                uint64_t updates_seen);
 
-  /// Closes the open pipeline epoch (if any) so replica 0 holds the
-  /// whole prefix and the window manager's position is current. Caller
+  /// Closes the open epoch and captures the restorable state. Caller
   /// holds the entry mutex.
-  void Quiesce(Entry* entry);
-
-  /// Wires window spill into a freshly built entry (no-op without a
-  /// store or window, or with resident_checkpoints == 0).
-  void AttachEntrySpill(Entry* entry, const std::string& map_key);
+  SnapshotBlob SnapshotLocked(Entry* entry);
 
   /// Serializes a snapshot record ([tenant][key][SnapshotBlob] as a bit
   /// stream) and appends it under "t:<map_key>". Caller holds the entry

@@ -7,10 +7,10 @@
 //   median_j |y_j| / median(|Stable(p)|)
 //
 // is a constant-factor estimator of ||x||_p with O(log n) rows (Lemma 2 /
-// [17] provide the derandomized version; see DESIGN.md §1.3 for the
-// substitution we make: stable variables are generated on the fly from a
-// seeded hash of (row, coordinate), so the sketch stays linear and
-// mergeable without storing any per-coordinate state).
+// [17] provide the derandomized version; the substitution we make:
+// stable variables are generated on the fly from a seeded hash of
+// (row, coordinate), so the sketch stays linear and mergeable without
+// storing any per-coordinate state).
 //
 // General-p variables use the Chambers-Mallows-Stuck transform; p = 1
 // (Cauchy) and p = 2 (Gaussian) use their closed forms. The normalizing

@@ -1,4 +1,4 @@
-// Workload generators for every experiment family in DESIGN.md. All are
+// Workload generators for the benches, examples and tests. All are
 // deterministic in their seed. Streams are integer update streams in the
 // paper's model; letter streams (for the duplicates problems of Section 3)
 // are sequences over the alphabet [n].

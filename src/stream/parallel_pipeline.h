@@ -13,9 +13,9 @@
 // which then holds exactly the sketch of the whole stream.
 //
 // Threading model:
-//   - threads == 0  (the ShardedDriver special case): no workers are
-//     spawned and sealed batches are applied inline on the caller thread —
-//     single-threaded and deterministic, what the property tests drive.
+//   - threads == 0: no workers are spawned and sealed batches are applied
+//     inline on the caller thread — single-threaded and deterministic,
+//     what the property tests drive.
 //   - threads == t >= 1: t workers are spawned (clamped to the shard
 //     count — one worker per shard is the maximum useful parallelism) and
 //     shard s is owned by worker s % t. Each worker owns one bounded ring
@@ -46,7 +46,10 @@
 // epoch (replica 0 accumulates the whole stream so far, replicas 1..k-1
 // reset for the next epoch). Queries against replica 0 between epochs are
 // safe — the quiesce barrier guarantees no worker touches any replica
-// until ingestion resumes. examples/parallel_firehose.cpp shows the loop.
+// until ingestion resumes. lps::Topology (src/api/topology.h) owns that
+// loop for one stream — replicas, pipeline, window seals and epoch steps
+// — and is what the server, the distributed worker and lps_cli ingest
+// through; examples/parallel_firehose.cpp writes the loop out by hand.
 //
 // Thread-safety contract: the queues are MPSC-safe, but the partitioner
 // state (staging buffers, round-robin cursor) lives on the producer side —

@@ -37,7 +37,8 @@
 // MergeShards() epoch — so checkpoints must be sealed AT epoch
 // boundaries, not mid-epoch. SealEpoch(count) is that hook: call it right
 // after MergeShards() and the epoch boundary becomes a checkpoint,
-// making any trailing run of epochs materializable. When the
+// making any trailing run of epochs materializable (lps::Topology runs
+// exactly that loop). When the
 // WindowManager owns ingestion instead (Push/PushBatch/Drive forwarding
 // to the live sketch), it seals automatically every checkpoint_interval
 // updates, splitting batches at the boundary so checkpoints land exactly.

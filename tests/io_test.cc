@@ -2,10 +2,11 @@
 // chunk boundaries, the malformed-record counting policy, byte-source
 // behavior on files / pipes / empty streams, the streamed bit-container
 // reader, and the tentpole guarantee — async file-fed ingestion through
-// the StreamFeeder/PipelineSink path lands sketch state BIT-IDENTICAL
+// the StreamFeeder -> Topology path lands sketch state BIT-IDENTICAL
 // to in-memory ingest across shards x threads (for every kind against
 // the same topology, and against solo ingest for the integer-counter
-// kinds), including the windowed epoch-sealing composition.
+// kinds), including the windowed epoch-sealing composition — and so
+// does TenantRegistry ingest, however its INGEST calls chunk the stream.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -21,12 +22,12 @@
 #include <vector>
 
 #include "src/lps.h"
+#include "src/server/tenant_registry.h"
 
 namespace lps {
 namespace {
 
 using io::MemorySource;
-using io::PipelineSink;
 using io::StreamFeeder;
 using io::UpdateDecoder;
 using stream::ParallelPipeline;
@@ -379,30 +380,61 @@ TEST(StreamFeeder, HeaderlessStreamFailsInReadHeader) {
 
 // --------------------------------------------- async-vs-memory bit-identity --
 
-/// Feeds `bytes` through the async path into a fresh pipeline topology
-/// and returns replica 0's serialized state.
+/// A fresh topology of `spec`; windowed (epochs of `window_checkpoint`
+/// updates) when window_checkpoint > 0.
+std::unique_ptr<Topology> MakeTopology(const SketchSpec& spec, int shards,
+                                       int threads,
+                                       uint64_t window_checkpoint = 0) {
+  SketchConfig config;
+  config.spec = spec;
+  config.shards = shards;
+  config.threads = threads;
+  config.window_checkpoint = window_checkpoint;
+  auto built = Topology::Create(config, window_checkpoint);
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  return std::move(built.value());
+}
+
+/// A feeder sink pushing every batch into `topology`.
+io::BatchSink PushInto(Topology* topology) {
+  return [topology](const Update* updates, size_t count) {
+    EXPECT_TRUE(topology->Push(updates, count).ok());
+  };
+}
+
+/// Feeds `bytes` through the async path into a fresh topology and
+/// returns replica 0's serialized state.
 State AsyncIngestState(const std::string& bytes, const SketchSpec& spec,
                        int shards, int threads) {
   StreamFeeder feeder(
       std::make_unique<MemorySource>(bytes.data(), bytes.size(), 1013));
   auto n = feeder.ReadHeader();
   EXPECT_TRUE(n.ok());
-  std::vector<std::unique_ptr<LinearSketch>> replicas;
-  std::vector<LinearSketch*> raw;
-  for (int s = 0; s < shards; ++s) {
-    replicas.push_back(MakeSketch(spec));
-    raw.push_back(replicas.back().get());
-  }
-  ParallelPipeline::Options options;
-  options.shards = shards;
-  options.threads = threads;
-  ParallelPipeline pipeline(options);
-  pipeline.Add("sink", raw);
-  PipelineSink sink(&pipeline, nullptr, 0);
-  auto stats = feeder.Feed(std::ref(sink));
+  auto topology = MakeTopology(spec, shards, threads);
+  auto stats = feeder.Feed(PushInto(topology.get()));
   EXPECT_TRUE(stats.ok());
-  sink.Finish();
-  return Serialized(*replicas[0]);
+  topology->Finish();
+  return Serialized(topology->sketch());
+}
+
+/// Ingests `updates` into a shards=3/threads=2 TenantRegistry stream in
+/// INGEST calls of `batch` updates and returns its SNAPSHOT state.
+State RegistryIngestState(const UpdateStream& updates, const SketchSpec& spec,
+                          size_t batch) {
+  server::TenantRegistry registry;
+  SketchConfig config;
+  config.spec = spec;
+  config.shards = 3;
+  config.threads = 2;
+  EXPECT_TRUE(registry.Create("t", "k", config).ok());
+  for (size_t at = 0; at < updates.size(); at += batch) {
+    const auto end = updates.begin() + std::min(updates.size(), at + batch);
+    const UpdateStream chunk(updates.begin() + at, end);
+    EXPECT_TRUE(registry.Ingest("t", "k", chunk).ok());
+  }
+  auto blob = registry.Snapshot("t", "k");
+  EXPECT_TRUE(blob.ok());
+  return {blob->state_words, blob->state_bits};
 }
 
 /// In-memory ingest through the same pipeline topology (the pre-io
@@ -490,6 +522,14 @@ TEST(AsyncIngest, BitIdenticalToInMemoryAcrossShardsThreadsAndKinds) {
     EXPECT_TRUE(AsyncIngestState(binary, spec, 4, 2) ==
                 AsyncIngestState(text, spec, 4, 2))
         << SketchKindName(kind) << " binary!=text";
+    // The registry front door: how INGEST calls chunk the stream must
+    // never show either.
+    const State memory = MemoryIngestState(updates, spec, 3, 2);
+    for (const size_t batch : {size_t{1}, size_t{257}, updates.size()}) {
+      EXPECT_TRUE(RegistryIngestState(updates, spec, batch) == memory)
+          << SketchKindName(kind) << " registry!=memory in batches of "
+          << batch;
+    }
   }
 }
 
@@ -506,25 +546,14 @@ TEST(AsyncIngest, WindowedEpochsMatchSoloWindowManager) {
   WindowManager solo_wm(solo_sketch.get(), wm_options);
   solo_wm.PushBatch(updates.data(), updates.size());
   const auto solo_window = solo_wm.WindowSketch(kWindow);
-  // Async sharded+threaded: epochs sealed through PipelineSink.
+  // Async sharded+threaded: epochs sealed by the topology.
   StreamFeeder feeder(
       std::make_unique<MemorySource>(text.data(), text.size(), 777));
   ASSERT_TRUE(feeder.ReadHeader().ok());
-  std::vector<std::unique_ptr<LinearSketch>> replicas;
-  std::vector<LinearSketch*> raw;
-  for (int s = 0; s < 4; ++s) {
-    replicas.push_back(MakeSketch(spec));
-    raw.push_back(replicas.back().get());
-  }
-  ParallelPipeline::Options options;
-  options.shards = 4;
-  options.threads = 2;
-  ParallelPipeline pipeline(options);
-  pipeline.Add("sink", raw);
-  WindowManager wm(replicas[0].get(), wm_options);
-  PipelineSink sink(&pipeline, &wm, kInterval);
-  ASSERT_TRUE(feeder.Feed(std::ref(sink)).ok());
-  sink.Finish();
+  auto topology = MakeTopology(spec, 4, 2, kInterval);
+  ASSERT_TRUE(feeder.Feed(PushInto(topology.get())).ok());
+  topology->Finish();
+  const WindowManager& wm = *topology->window();
   EXPECT_EQ(wm.updates_seen(), updates.size());
   const auto async_window = wm.WindowSketch(kWindow);
   EXPECT_EQ(async_window.start, solo_window.start);
@@ -545,21 +574,10 @@ TEST(AsyncIngest, FileFedPipelineMatchesMemory) {
   ASSERT_TRUE(source.ok());
   StreamFeeder feeder(std::move(source.value()));
   ASSERT_TRUE(feeder.ReadHeader().ok());
-  std::vector<std::unique_ptr<LinearSketch>> replicas;
-  std::vector<LinearSketch*> raw;
-  for (int s = 0; s < 2; ++s) {
-    replicas.push_back(MakeSketch(spec));
-    raw.push_back(replicas.back().get());
-  }
-  ParallelPipeline::Options options;
-  options.shards = 2;
-  options.threads = 2;
-  ParallelPipeline pipeline(options);
-  pipeline.Add("sink", raw);
-  PipelineSink sink(&pipeline, nullptr, 0);
-  ASSERT_TRUE(feeder.Feed(std::ref(sink)).ok());
-  sink.Finish();
-  EXPECT_TRUE(Serialized(*replicas[0]) ==
+  auto topology = MakeTopology(spec, 2, 2);
+  ASSERT_TRUE(feeder.Feed(PushInto(topology.get())).ok());
+  topology->Finish();
+  EXPECT_TRUE(Serialized(topology->sketch()) ==
               MemoryIngestState(updates, spec, 2, 2));
   std::remove(path.c_str());
 }

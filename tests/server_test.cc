@@ -409,6 +409,23 @@ TEST(ServerTest, MalformedBodiesAreErrorsNotAborts) {
     body.WriteU64(1ull << 40);  // state bit count, nothing behind it
     expect_error_then_alive(body, Opcode::kRestore, "lying state size");
   }
+  {
+    // RESTORE whose state was serialized under another seed than its
+    // config declares: same size and leading word, so only a parameter
+    // proof catches it before a shard merge would CHECK on the seeds.
+    BitWriter state;
+    MakeSketch(HeavyConfig(2).spec)->Serialize(&state);
+    SnapshotBlob blob;
+    blob.config = HeavyConfig(1);
+    blob.config.shards = 2;
+    blob.state_words = state.words();
+    blob.state_bits = state.bit_count();
+    BitWriter body;
+    WriteString(&body, "a");
+    WriteString(&body, "lying");
+    SerializeSnapshot(blob, &body);
+    expect_error_then_alive(body, Opcode::kRestore, "lying state seed");
+  }
 
   // The daemon served everyone else throughout.
   EXPECT_TRUE(healthy.Query("a", "k").ok());

@@ -41,8 +41,8 @@
 // updates (default 4096), and the windowed sketch is materialized by
 // subtraction (prefix_now - prefix_expired, O(sketch size)). The window
 // start rounds down to a checkpoint boundary; the chosen range is
-// printed. With --shards k the checkpoints seal at parallel-runtime
-// epoch boundaries (every c updates, after MergeShards), so windows and
+// printed. With --shards k the checkpoints seal at the topology's epoch
+// boundaries (every c updates, after the shards merge), so windows and
 // sharding compose.
 // --from FILE ingests through the async front-end (src/io/): a prefetch
 // thread reads the file while the decoder and the pipeline run, and the
@@ -51,10 +51,10 @@
 // auto-detected. Without --from, the trace is read (and materialized)
 // from stdin exactly as before. Final sketch state is bit-identical
 // either way at the same --shards/--threads topology (tests/io_test.cc).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -173,9 +173,11 @@ bool TakeBoolFlag(int* argc, char** argv, const char* flag) {
 /// asked would misrepresent the topology. shards defaults to 1, threads
 /// to 0 (inline ingestion on the caller thread).
 bool TakeTopologyFlags(int* argc, char** argv, int* shards, int* threads) {
-  *shards = TakeCountFlag(argc, argv, "--shards", 1);
+  // lps::Topology's bounds, so an out-of-range count is a usage error.
+  constexpr long kMaxTopology = 1024;
+  *shards = TakeCountFlag(argc, argv, "--shards", 1, kMaxTopology);
   if (*shards < 0) return false;
-  *threads = TakeCountFlag(argc, argv, "--threads", 0);
+  *threads = TakeCountFlag(argc, argv, "--threads", 0, kMaxTopology);
   if (*threads < 0) return false;
   if (*threads > *shards) {
     std::fprintf(stderr,
@@ -278,50 +280,6 @@ bool ReportFeed(const lps::Result<lps::io::FeedStats>& stats) {
   return true;
 }
 
-/// Async ingest: drains the feeder into the replicas through the parallel
-/// runtime. With a WindowManager attached, PipelineSink closes an epoch
-/// (MergeShards + SealEpoch) every `interval` updates — the same
-/// boundaries solo ingestion seals at; without one, the single epoch
-/// closes at end of stream.
-bool FeedSharded(lps::io::StreamFeeder* feeder,
-                 const std::vector<lps::LinearSketch*>& replicas, int threads,
-                 lps::stream::WindowManager* wm, uint64_t interval) {
-  lps::stream::ParallelPipeline::Options options;
-  options.shards = static_cast<int>(replicas.size());
-  options.threads = threads;
-  lps::stream::ParallelPipeline pipeline(options);
-  pipeline.Add("sink", replicas);
-  lps::io::PipelineSink sink(&pipeline, wm, interval);
-  auto stats = feeder->Feed(std::ref(sink));
-  if (!ReportFeed(stats)) return false;
-  sink.Finish();
-  return true;
-}
-
-/// Drives the trace into `sink`, either directly or through the parallel
-/// ingestion runtime over `replicas` (replica 0 == sink), merging
-/// afterwards. threads == 0 applies batches inline (deterministic
-/// single-threaded mode); the final state is bit-identical either way.
-void Ingest(const lps::stream::Trace& trace,
-            const std::vector<lps::LinearSketch*>& replicas, int threads) {
-  if (replicas.size() == 1 && threads == 0) {
-    lps::stream::StreamDriver driver;
-    driver.AddSink("sink", [&replicas](const lps::stream::Update* u,
-                                       size_t c) {
-      replicas[0]->UpdateBatch(u, c);
-    });
-    driver.Drive(trace.updates);
-    return;
-  }
-  lps::stream::ParallelPipeline::Options options;
-  options.shards = static_cast<int>(replicas.size());
-  options.threads = threads;
-  lps::stream::ParallelPipeline pipeline(options);
-  pipeline.Add("sink", replicas);
-  pipeline.Drive(trace.updates);
-  pipeline.MergeShards();
-}
-
 int CmdGen(int argc, char** argv) {
   const bool binary = TakeBoolFlag(&argc, argv, "--binary");
   if (argc != 6) return Usage();
@@ -367,85 +325,74 @@ int CmdGen(int argc, char** argv) {
 // structure for a command spec, ingest (optionally sharded, optionally
 // async via --from), and hand the merged structure to the caller.
 
-/// Windowed ingestion: replica 0 is wrapped in a WindowManager. Solo
-/// ingestion seals automatically every `checkpoint` updates; sharded
-/// ingestion runs the parallel runtime in epochs of `checkpoint` updates
-/// (Drive, MergeShards, SealEpoch — replica 0 holds the full prefix
-/// exactly at those boundaries); async ingestion seals the same epochs
-/// through PipelineSink. Returns the materialized trailing window and
-/// prints the chosen range (the start rounds down to a checkpoint
-/// boundary).
-std::unique_ptr<lps::LinearSketch> IngestWindowed(
-    StreamInput& in, const std::vector<lps::LinearSketch*>& replicas,
-    int threads, const WindowSpec& spec) {
-  lps::stream::WindowManager::Options options;
-  options.checkpoint_interval = spec.checkpoint;
-  lps::stream::WindowManager wm(replicas[0], options);
+/// A built answer structure: shared so the whole-stream sketch can stay
+/// owned by the topology that ingested it.
+using Sketch = std::shared_ptr<const lps::LinearSketch>;
+
+/// Builds the stream's lps::Topology — `shards` identical replicas of
+/// `spec` from the MakeSketch registry (the same one CREATE requests and
+/// DeserializeAnySketch use), pipelined when shards > 1 or threads > 0,
+/// windowed with epochs of window.checkpoint updates when a window is
+/// asked — ingests the input (streamed when it is a feeder), and returns
+/// the whole-stream sketch, or the materialized trailing window after
+/// printing its range (the start rounds down to a checkpoint boundary).
+/// Returns nullptr after a message on a topology or feed error.
+Sketch BuildSharded(StreamInput& in, int shards, int threads,
+                    const WindowSpec& window, const lps::SketchSpec& spec) {
+  lps::SketchConfig config;
+  config.spec = spec;
+  config.shards = shards;
+  config.threads = threads;
+  if (window.window > 0) config.window_checkpoint = window.checkpoint;
+  auto built = lps::Topology::Create(config, config.window_checkpoint);
+  if (!built.ok()) {
+    std::fprintf(stderr, "bad topology: %s\n",
+                 built.status().ToString().c_str());
+    return nullptr;
+  }
+  std::shared_ptr<lps::Topology> topology = std::move(built.value());
+  lps::Status pushed;
   if (in.feeder != nullptr) {
-    if (!FeedSharded(in.feeder.get(), replicas, threads, &wm,
-                     spec.checkpoint)) {
-      return nullptr;
-    }
-  } else if (replicas.size() == 1 && threads == 0) {
-    wm.PushBatch(in.trace.updates.data(), in.trace.updates.size());
+    auto stats = in.feeder->Feed([&](const lps::stream::Update* u, size_t c) {
+      if (pushed.ok()) pushed = topology->Push(u, c);
+    });
+    if (!ReportFeed(stats)) return nullptr;
   } else {
-    const auto& t = in.trace;
-    lps::stream::ParallelPipeline::Options popts;
-    popts.shards = static_cast<int>(replicas.size());
-    popts.threads = threads;
-    lps::stream::ParallelPipeline pipeline(popts);
-    pipeline.Add("sink", replicas);
-    size_t done = 0;
-    while (done < t.updates.size()) {
-      const size_t take =
-          std::min<size_t>(spec.checkpoint, t.updates.size() - done);
-      pipeline.Drive(t.updates.data() + done, take);
-      pipeline.MergeShards();
-      wm.SealEpoch(take);
-      done += take;
+    // Pushed in StreamDriver-sized pieces, like the feeder's batches:
+    // the inline path hands each piece to UpdateBatch, whose scratch
+    // buffers grow with the batch.
+    const auto& updates = in.trace.updates;
+    constexpr size_t kPiece = lps::stream::StreamDriver::kDefaultBatchSize;
+    for (size_t at = 0; at < updates.size() && pushed.ok(); at += kPiece) {
+      pushed = topology->Push(updates.data() + at,
+                              std::min(kPiece, updates.size() - at));
     }
   }
-  auto window = wm.WindowSketch(spec.window);
+  if (pushed.ok()) pushed = topology->Finish();
+  if (!pushed.ok()) {
+    std::fprintf(stderr, "ingest failed: %s\n", pushed.ToString().c_str());
+    return nullptr;
+  }
+  if (window.window == 0) {
+    // Aliasing pointer: the answer keeps its topology alive.
+    return Sketch(topology, &topology->sketch());
+  }
+  const lps::stream::WindowManager& wm = *topology->window();
+  auto materialized = wm.WindowSketch(window.window);
+  const uint64_t end = materialized.start + materialized.length;
   std::printf("window [%llu, %llu) of %llu updates (asked %llu, checkpoint "
               "every %llu)\n",
-              static_cast<unsigned long long>(window.start),
-              static_cast<unsigned long long>(window.start + window.length),
+              static_cast<unsigned long long>(materialized.start),
+              static_cast<unsigned long long>(end),
               static_cast<unsigned long long>(wm.updates_seen()),
-              static_cast<unsigned long long>(spec.window),
-              static_cast<unsigned long long>(spec.checkpoint));
-  return std::move(window.sketch);
+              static_cast<unsigned long long>(window.window),
+              static_cast<unsigned long long>(window.checkpoint));
+  return std::move(materialized.sketch);
 }
 
-/// Builds `shards` identical replicas of `spec` through the MakeSketch
-/// registry (the same one CREATE requests and DeserializeAnySketch use),
-/// ingests the input through the parallel runtime (sharded when
-/// shards > 1, threaded when threads > 0, streamed when the input is a
-/// feeder), and returns the merged structure — windowed to the last
-/// window.window updates when requested. Returns nullptr on a feed error.
-std::unique_ptr<lps::LinearSketch> BuildSharded(StreamInput& in, int shards,
-                                                int threads,
-                                                const WindowSpec& window,
-                                                const lps::SketchSpec& spec) {
-  std::vector<std::unique_ptr<lps::LinearSketch>> replicas;
-  for (int s = 0; s < shards; ++s) replicas.push_back(lps::MakeSketch(spec));
-  std::vector<lps::LinearSketch*> raw;
-  for (auto& r : replicas) raw.push_back(r.get());
-  if (window.window > 0) return IngestWindowed(in, raw, threads, window);
-  if (in.feeder != nullptr) {
-    if (!FeedSharded(in.feeder.get(), raw, threads, nullptr, 0)) {
-      return nullptr;
-    }
-  } else {
-    Ingest(in.trace, raw, threads);
-  }
-  return std::move(replicas[0]);
-}
-
-std::unique_ptr<lps::LinearSketch> BuildSampler(StreamInput& in,
-                                                const char* p_arg, double eps,
-                                                double delta, uint64_t seed,
-                                                int shards, int threads,
-                                                const WindowSpec& window) {
+Sketch BuildSampler(StreamInput& in, const char* p_arg, double eps,
+                    double delta, uint64_t seed, int shards, int threads,
+                    const WindowSpec& window) {
   lps::SketchSpec spec;
   spec.n = in.n;
   spec.delta = delta;
@@ -460,10 +407,8 @@ std::unique_ptr<lps::LinearSketch> BuildSampler(StreamInput& in,
   return BuildSharded(in, shards, threads, window, spec);
 }
 
-std::unique_ptr<lps::LinearSketch> BuildHeavy(StreamInput& in, double p,
-                                              double phi, uint64_t seed,
-                                              int shards, int threads,
-                                              const WindowSpec& window) {
+Sketch BuildHeavy(StreamInput& in, double p, double phi, uint64_t seed,
+                  int shards, int threads, const WindowSpec& window) {
   lps::SketchSpec spec;
   spec.kind = lps::SketchKind::kCsHeavyHitters;
   spec.n = in.n;
@@ -473,10 +418,8 @@ std::unique_ptr<lps::LinearSketch> BuildHeavy(StreamInput& in, double p,
   return BuildSharded(in, shards, threads, window, spec);
 }
 
-std::unique_ptr<lps::LinearSketch> BuildNorm(StreamInput& in, double p,
-                                             uint64_t seed, int shards,
-                                             int threads,
-                                             const WindowSpec& window) {
+Sketch BuildNorm(StreamInput& in, double p, uint64_t seed, int shards,
+                 int threads, const WindowSpec& window) {
   lps::SketchSpec spec;
   spec.kind = lps::SketchKind::kLpNormEstimator;
   spec.n = in.n;
@@ -485,9 +428,7 @@ std::unique_ptr<lps::LinearSketch> BuildNorm(StreamInput& in, double p,
   return BuildSharded(in, shards, threads, window, spec);
 }
 
-std::unique_ptr<lps::LinearSketch> BuildDuplicates(StreamInput& in,
-                                                   double delta,
-                                                   uint64_t seed) {
+Sketch BuildDuplicates(StreamInput& in, double delta, uint64_t seed) {
   lps::SketchSpec spec;
   spec.kind = lps::SketchKind::kDuplicateFinder;
   spec.n = in.n;
@@ -677,7 +618,7 @@ int CmdSave(int argc, char** argv) {
   const char* path = argv[argc - 1];
   auto in = OpenInput(from);
   if (in == nullptr) return 1;
-  std::unique_ptr<lps::LinearSketch> sketch;
+  Sketch sketch;
   const WindowSpec whole;  // save persists the whole-stream sketch
   if (what == "sample" && argc == 8) {
     sketch = BuildSampler(*in, argv[3], std::strtod(argv[4], nullptr),
