@@ -1,8 +1,10 @@
 // UpdateDecoder — incremental parsing of stream traces across arbitrary
-// chunk boundaries, for both trace encodings:
+// chunk boundaries, for both trace encodings, plus their writers (this
+// file is the one place that knows the formats, read and write):
 //
-//   text (src/stream/trace.h): "# comment", "n <size>" header first,
-//     then "u <index> <delta>" / "l <letter>" records, LF or CRLF.
+//   text: "# comment", "n <size>" header first, then
+//     "u <index> <delta>" / "l <letter>" records (a letter is sugar for
+//     "u <letter> 1"), LF or CRLF. WriteTrace / WriteLetterTrace emit it.
 //   binary: 8-byte magic "LPSTRC1\n", u64 LE universe size, then 16-byte
 //     records of u64 LE index + i64 LE delta — the replay format for
 //     disk-rate ingest (16 bytes/update instead of ~15 text chars plus
@@ -21,13 +23,16 @@
 // never a hard error; a replay keeps going when one producer wrote one
 // bad line. The only structural failure is a stream whose header never
 // arrives: Finish() returns InvalidArgument, because without n there is
-// no universe to validate against (ReadTrace rejects the same way).
+// no universe to validate against. Every reader in the repo (lps_cli
+// stdin and --from alike) goes through this one policy.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <ostream>
 #include <string>
 
+#include "src/stream/generators.h"
 #include "src/stream/update.h"
 #include "src/util/status.h"
 
@@ -77,8 +82,16 @@ class UpdateDecoder {
   uint64_t decoded_ = 0;
 };
 
+/// Writes the text trace encoding: the header, then one update record
+/// per update.
+void WriteTrace(std::ostream& out, uint64_t n,
+                const stream::UpdateStream& updates);
+/// Writes the text trace encoding with letters as letter records.
+void WriteLetterTrace(std::ostream& out, uint64_t n,
+                      const stream::LetterStream& letters);
+
 /// Writes the binary trace encoding (magic, n, 16-byte records) —
-/// the counterpart of stream::WriteTrace for the text form.
+/// the counterpart of WriteTrace for the text form.
 void WriteBinaryTrace(std::string* out, uint64_t n,
                       const stream::UpdateStream& updates);
 

@@ -22,8 +22,10 @@
 //   Persistence       LinearSketch::Serialize/Deserialize,
 //                     DeserializeAnySketch, WriteBitsToFile/
 //                     ReadBitsFromFile
-//   Workloads         stream::generators + trace reading/writing, and
-//                     stream::ExactVector as the test oracle
+//   Workloads         stream::generators, the trace writers next to
+//                     their decoder (io::WriteTrace, WriteLetterTrace,
+//                     WriteBinaryTrace), and stream::ExactVector as the
+//                     test oracle
 //
 // Deeper internal headers (src/sketch/*, src/field/*, src/recovery/*,
 // ...) remain includable but are NOT a stability surface; new code should
@@ -53,7 +55,6 @@
 #include "src/stream/linear_sketch.h"
 #include "src/stream/parallel_pipeline.h"
 #include "src/stream/stream_driver.h"
-#include "src/stream/trace.h"
 #include "src/stream/update.h"
 #include "src/stream/window_manager.h"
 #include "src/util/serialize.h"

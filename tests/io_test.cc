@@ -55,7 +55,7 @@ std::string MakeTempFile(const std::string& contents) {
 
 std::string TextTrace(uint64_t n, const UpdateStream& updates) {
   std::ostringstream out;
-  stream::WriteTrace(out, n, updates);
+  io::WriteTrace(out, n, updates);
   return out.str();
 }
 
@@ -112,21 +112,47 @@ State Serialized(const LinearSketch& sketch) {
 
 // ---------------------------------------------------------------- decoder --
 
-TEST(UpdateDecoder, TextMatchesReadTraceAtEveryChunking) {
-  const auto updates = stream::UniformTurnstile(1 << 10, 500, 20, 7);
-  const std::string bytes = TextTrace(1 << 10, updates);
-  std::istringstream in(bytes);
-  auto reference = stream::ReadTrace(in);
-  ASSERT_TRUE(reference.ok());
-  for (size_t chunk : {size_t{1}, size_t{2}, size_t{3}, size_t{7}, size_t{64},
-                       size_t{4096}, bytes.size()}) {
+TEST(UpdateDecoder, TextRoundTripsAtEveryChunking) {
+  struct Input {
+    uint64_t n;
+    UpdateStream updates;
+  };
+  const Input inputs[] = {
+      {1 << 10, stream::UniformTurnstile(1 << 10, 500, 20, 7)},
+      {100, stream::UniformTurnstile(100, 500, 20, 1)},
+      {256, stream::SparseVector(256, 30, 100, 7)},
+  };
+  for (const Input& input : inputs) {
+    const std::string bytes = TextTrace(input.n, input.updates);
+    stream::ExactVector direct(input.n);
+    direct.Apply(input.updates);
+    for (size_t chunk : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
+                         size_t{64}, size_t{4096}, bytes.size()}) {
+      const Decoded got = DecodeChunked(bytes, chunk);
+      EXPECT_TRUE(got.status.ok()) << "chunk " << chunk;
+      EXPECT_EQ(got.format, UpdateDecoder::Format::kText);
+      EXPECT_EQ(got.n, input.n);
+      EXPECT_EQ(got.malformed, 0u) << "chunk " << chunk;
+      EXPECT_TRUE(SameUpdates(got.updates, input.updates))
+          << "n " << input.n << " chunk " << chunk;
+      stream::ExactVector replayed(input.n);
+      replayed.Apply(got.updates);
+      EXPECT_EQ(replayed.data(), direct.data()) << "n " << input.n;
+    }
+  }
+}
+
+TEST(UpdateDecoder, LetterTraceBecomesUnitUpdates) {
+  std::ostringstream out;
+  io::WriteLetterTrace(out, 16, {5, 5, 9});
+  const std::string bytes = out.str();
+  for (size_t chunk : {size_t{1}, size_t{3}, bytes.size()}) {
     const Decoded got = DecodeChunked(bytes, chunk);
-    EXPECT_TRUE(got.status.ok()) << "chunk " << chunk;
-    EXPECT_EQ(got.format, UpdateDecoder::Format::kText);
-    EXPECT_EQ(got.n, reference->n);
-    EXPECT_EQ(got.malformed, 0u) << "chunk " << chunk;
-    EXPECT_TRUE(SameUpdates(got.updates, reference->updates))
-        << "chunk " << chunk;
+    EXPECT_TRUE(got.status.ok());
+    EXPECT_EQ(got.n, 16u);
+    EXPECT_EQ(got.malformed, 0u);
+    const UpdateStream want = {{5, 1}, {5, 1}, {9, 1}};
+    EXPECT_TRUE(SameUpdates(got.updates, want)) << "chunk " << chunk;
   }
 }
 
@@ -145,14 +171,22 @@ TEST(UpdateDecoder, BinaryRoundTripsAtEveryChunking) {
 }
 
 TEST(UpdateDecoder, CrlfAndCommentsAndFinalLineWithoutNewline) {
-  const std::string bytes =
-      "# header comment\r\nn 100\r\nu 3 5\r\n\r\n# mid\nl 7\nu 9 -2";
-  for (size_t chunk : {size_t{1}, size_t{4}, bytes.size()}) {
-    const Decoded got = DecodeChunked(bytes, chunk);
-    EXPECT_TRUE(got.status.ok());
-    EXPECT_EQ(got.malformed, 0u);
-    const UpdateStream want = {{3, 5}, {7, 1}, {9, -2}};
-    EXPECT_TRUE(SameUpdates(got.updates, want)) << "chunk " << chunk;
+  const struct {
+    std::string bytes;
+    UpdateStream want;
+  } inputs[] = {
+      {"# header comment\r\nn 100\r\nu 3 5\r\n\r\n# mid\nl 7\nu 9 -2",
+       {{3, 5}, {7, 1}, {9, -2}}},
+      {"# hello\n\nn 8\n# mid\nu 3 -4\n", {{3, -4}}},
+  };
+  for (const auto& input : inputs) {
+    for (size_t chunk : {size_t{1}, size_t{4}, input.bytes.size()}) {
+      const Decoded got = DecodeChunked(input.bytes, chunk);
+      EXPECT_TRUE(got.status.ok());
+      EXPECT_EQ(got.malformed, 0u);
+      EXPECT_TRUE(SameUpdates(got.updates, input.want))
+          << "'" << input.bytes << "' chunk " << chunk;
+    }
   }
 }
 
@@ -189,6 +223,20 @@ TEST(UpdateDecoder, MalformedRecordsAreCountedAndSkippedNeverFatal) {
     const UpdateStream want = {{3, 5}, {5, -1}};
     EXPECT_TRUE(SameUpdates(got.updates, want)) << "chunk " << chunk;
   }
+  // One bad record after a good header: counted once, the stream stays
+  // usable.
+  for (const std::string& bytes :
+       {std::string("n 8\nu 8 1\n"),   // index out of range
+        std::string("n 8\nl 9\n"),     // letter out of range
+        std::string("n 8\nx 1 2\n"),   // unknown tag
+        std::string("n 8\nn 8\n"),     // duplicate header
+        std::string("n 8\nu 1\n")}) {  // missing delta
+    const Decoded got = DecodeChunked(bytes, 1);
+    EXPECT_TRUE(got.status.ok()) << "'" << bytes << "'";
+    EXPECT_EQ(got.n, 8u);
+    EXPECT_EQ(got.malformed, 1u) << "'" << bytes << "'";
+    EXPECT_TRUE(got.updates.empty()) << "'" << bytes << "'";
+  }
 }
 
 TEST(UpdateDecoder, TornTrailingBinaryRecordCountsAsMalformed) {
@@ -203,7 +251,8 @@ TEST(UpdateDecoder, TornTrailingBinaryRecordCountsAsMalformed) {
 
 TEST(UpdateDecoder, MissingHeaderIsTheOnlyStructuralError) {
   for (const std::string& bytes :
-       {std::string(" "), std::string("u 1 2\n"), std::string("# only\n")}) {
+       {std::string(" "), std::string("u 1 2\n"), std::string("# only\n"),
+        std::string("n 0\n")}) {  // a zero universe is no header
     const Decoded got = DecodeChunked(bytes, 1);
     EXPECT_FALSE(got.status.ok()) << "'" << bytes << "'";
   }

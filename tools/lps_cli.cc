@@ -28,7 +28,8 @@
 // seeds, counters); load reconstructs without any out-of-band information
 // (DeserializeAnySketch dispatches on the kind tag, so any sketch kind
 // loads); merge requires all inputs to come from identically-parameterized
-// structures (shard replicas) and writes their coordinate-wise sum.
+// structures (shard replicas) and writes their coordinate-wise sum; any
+// other input is an error (exit 2).
 // --shards k ingests through the k-shard parallel runtime and merges the
 // replicas before querying — same answers as single-stream ingestion, by
 // linearity. --threads t (t in [1, k]; omit the flag for inline
@@ -44,14 +45,13 @@
 // printed. With --shards k the checkpoints seal at the topology's epoch
 // boundaries (every c updates, after the shards merge), so windows and
 // sharding compose.
-// --from FILE ingests through the async front-end (src/io/): a prefetch
-// thread reads the file while the decoder and the pipeline run, and the
-// update stream is never materialized in memory — the path for replays
-// larger than RAM. FILE may be '-' for stdin; text and binary traces are
-// auto-detected. Without --from, the trace is read (and materialized)
-// from stdin exactly as before. Final sketch state is bit-identical
-// either way at the same --shards/--threads topology (tests/io_test.cc).
-#include <algorithm>
+// Every command that reads a trace streams it through the async front-end
+// (src/io/): a prefetch thread reads the input while the decoder and the
+// pipeline run, and the update stream is never materialized in memory.
+// --from FILE only picks the source; without it (or with '-') the trace
+// comes from stdin. Text and binary traces are auto-detected. A malformed
+// record is counted, skipped and noted on stderr; a trace without its
+// "n <size>" header is the only input error (exit 1).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -87,7 +87,8 @@ int Usage() {
       "  lps_cli save duplicates <delta> <seed> <file>             < trace\n"
       "  lps_cli load <file>\n"
       "  lps_cli merge <out> <in1> <in2> [in...]\n"
-      "  lps_cli version\n");
+      "  lps_cli version\n"
+      "a trace (text or binary) is read from stdin, or from --from FILE\n");
   return 2;
 }
 
@@ -139,9 +140,10 @@ int TakeCountFlag(int* argc, char** argv, const char* flag, int fallback,
 }
 
 /// Strips "--from PATH" from argv. Returns false (after an error message)
-/// when the flag is present without a value; *path is left empty when the
-/// flag is absent (read the trace from stdin, materialized).
+/// when the flag is present without a value; *path is "-" (stdin) when
+/// the flag is absent.
 bool TakeFromFlag(int* argc, char** argv, std::string* path) {
+  *path = "-";
   for (int a = 2; a < *argc; ++a) {
     if (std::strcmp(argv[a], "--from") != 0) continue;
     if (a + 1 >= *argc) {
@@ -219,33 +221,16 @@ bool TakeWindowFlags(int* argc, char** argv, WindowSpec* spec) {
   return true;
 }
 
-lps::Result<lps::stream::Trace> LoadTrace() {
-  auto trace = lps::stream::ReadTrace(std::cin);
-  if (!trace.ok()) {
-    std::fprintf(stderr, "bad trace: %s\n",
-                 trace.status().ToString().c_str());
-  }
-  return trace;
-}
-
-/// The stream behind a command: either a trace materialized from stdin
-/// (the historical default) or a primed async StreamFeeder over --from
-/// FILE, which never materializes the update stream.
+/// The stream behind a command: an async StreamFeeder over the --from
+/// source (stdin by default), primed past the header, so n is known
+/// before any structure is sized.
 struct StreamInput {
   uint64_t n = 0;
-  lps::stream::Trace trace;                       // when feeder == nullptr
-  std::unique_ptr<lps::io::StreamFeeder> feeder;  // async when set
+  std::unique_ptr<lps::io::StreamFeeder> feeder;
 };
 
 std::unique_ptr<StreamInput> OpenInput(const std::string& from) {
   auto input = std::make_unique<StreamInput>();
-  if (from.empty()) {
-    auto trace = LoadTrace();
-    if (!trace.ok()) return nullptr;
-    input->trace = std::move(trace.value());
-    input->n = input->trace.n;
-    return input;
-  }
   auto source = lps::io::MakeFileSource(from);
   if (!source.ok()) {
     std::fprintf(stderr, "cannot open %s: %s\n", from.c_str(),
@@ -298,7 +283,7 @@ int CmdGen(int argc, char** argv) {
                                          true, seed);
   } else if (kind == "duplicates") {
     if (!binary) {
-      lps::stream::WriteLetterTrace(
+      lps::io::WriteLetterTrace(
           std::cout, n, lps::stream::DuplicateStream(n, arg, seed));
       return 0;
     }
@@ -315,7 +300,7 @@ int CmdGen(int argc, char** argv) {
     lps::io::WriteBinaryTrace(&out, n, updates);
     std::fwrite(out.data(), 1, out.size(), stdout);
   } else {
-    lps::stream::WriteTrace(std::cout, n, updates);
+    lps::io::WriteTrace(std::cout, n, updates);
   }
   return 0;
 }
@@ -333,9 +318,9 @@ using Sketch = std::shared_ptr<const lps::LinearSketch>;
 /// `spec` from the MakeSketch registry (the same one CREATE requests and
 /// DeserializeAnySketch use), pipelined when shards > 1 or threads > 0,
 /// windowed with epochs of window.checkpoint updates when a window is
-/// asked — ingests the input (streamed when it is a feeder), and returns
-/// the whole-stream sketch, or the materialized trailing window after
-/// printing its range (the start rounds down to a checkpoint boundary).
+/// asked — streams the input into it, and returns the whole-stream
+/// sketch, or the materialized trailing window after printing its range
+/// (the start rounds down to a checkpoint boundary).
 /// Returns nullptr after a message on a topology or feed error.
 Sketch BuildSharded(StreamInput& in, int shards, int threads,
                     const WindowSpec& window, const lps::SketchSpec& spec) {
@@ -352,22 +337,10 @@ Sketch BuildSharded(StreamInput& in, int shards, int threads,
   }
   std::shared_ptr<lps::Topology> topology = std::move(built.value());
   lps::Status pushed;
-  if (in.feeder != nullptr) {
-    auto stats = in.feeder->Feed([&](const lps::stream::Update* u, size_t c) {
-      if (pushed.ok()) pushed = topology->Push(u, c);
-    });
-    if (!ReportFeed(stats)) return nullptr;
-  } else {
-    // Pushed in StreamDriver-sized pieces, like the feeder's batches:
-    // the inline path hands each piece to UpdateBatch, whose scratch
-    // buffers grow with the batch.
-    const auto& updates = in.trace.updates;
-    constexpr size_t kPiece = lps::stream::StreamDriver::kDefaultBatchSize;
-    for (size_t at = 0; at < updates.size() && pushed.ok(); at += kPiece) {
-      pushed = topology->Push(updates.data() + at,
-                              std::min(kPiece, updates.size() - at));
-    }
-  }
+  auto stats = in.feeder->Feed([&](const lps::stream::Update* u, size_t c) {
+    if (pushed.ok()) pushed = topology->Push(u, c);
+  });
+  if (!ReportFeed(stats)) return nullptr;
   if (pushed.ok()) pushed = topology->Finish();
   if (!pushed.ok()) {
     std::fprintf(stderr, "ingest failed: %s\n", pushed.ToString().c_str());
@@ -434,32 +407,28 @@ Sketch BuildDuplicates(StreamInput& in, double delta, uint64_t seed) {
   spec.n = in.n;
   spec.delta = delta;
   spec.seed = seed;
+  // MakeSketch CHECK-fails on an invalid spec (delta outside (0, 1));
+  // validate first so a typo is an error message, not an abort.
+  const lps::Status valid = lps::ValidateSpec(spec);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "bad spec: %s\n", valid.ToString().c_str());
+    return nullptr;
+  }
   auto finder = lps::MakeSketch(spec);
   bool letters_only = true;
-  if (in.feeder != nullptr) {
-    auto stats =
-        in.feeder->Feed([&](const lps::stream::Update* u, size_t c) {
-          for (size_t t = 0; t < c; ++t) {
-            if (u[t].delta != 1) {
-              letters_only = false;
-              continue;
-            }
-            finder->Update(u[t].index, +1);
-          }
-        });
-    if (!ReportFeed(stats)) return nullptr;
-  } else {
-    for (const auto& u : in.trace.updates) {
-      if (u.delta != 1) {
+  auto stats = in.feeder->Feed([&](const lps::stream::Update* u, size_t c) {
+    for (size_t t = 0; t < c; ++t) {
+      if (u[t].delta != 1) {
         letters_only = false;
-        break;
+        continue;
       }
       // A letter is a (letter, +1) update on top of the finder's built-in
       // initialization — ProcessItem and the LinearSketch entry point are
       // the same operation.
-      finder->Update(u.index, +1);
+      finder->Update(u[t].index, +1);
     }
-  }
+  });
+  if (!ReportFeed(stats)) return nullptr;
   if (!letters_only) {
     std::fprintf(stderr, "duplicates mode expects a letter trace\n");
     return nullptr;
@@ -591,17 +560,11 @@ int CmdStats(int argc, char** argv) {
   if (in == nullptr) return 1;
   lps::stream::ExactVector x(in->n);
   size_t count = 0;
-  if (in->feeder != nullptr) {
-    auto stats = in->feeder->Feed([&](const lps::stream::Update* u,
-                                      size_t c) {
-      for (size_t t = 0; t < c; ++t) x.Apply(u[t]);
-      count += c;
-    });
-    if (!ReportFeed(stats)) return 1;
-  } else {
-    x.Apply(in->trace.updates);
-    count = in->trace.updates.size();
-  }
+  auto stats = in->feeder->Feed([&](const lps::stream::Update* u, size_t c) {
+    for (size_t t = 0; t < c; ++t) x.Apply(u[t]);
+    count += c;
+  });
+  if (!ReportFeed(stats)) return 1;
   std::printf("n %llu  updates %zu  L0 %llu  ||x||_1 %.6g  ||x||_2 %.6g  "
               "total %lld\n",
               static_cast<unsigned long long>(in->n), count,
@@ -655,6 +618,7 @@ int CmdMerge(int argc, char** argv) {
   const char* out = argv[2];
   auto merged = LoadSketch(argv[3]);
   if (merged == nullptr) return 1;
+  const lps::SketchSpec spec = lps::SpecOf(*merged);
   for (int a = 4; a < argc; ++a) {
     auto next = LoadSketch(argv[a]);
     if (next == nullptr) return 1;
@@ -664,7 +628,19 @@ int CmdMerge(int argc, char** argv) {
                    lps::SketchKindName(merged->kind()));
       return 2;
     }
-    merged->Merge(*next);  // CHECK-fails on parameter/seed mismatch
+    // Merge CHECK-fails on a parameter or seed mismatch. Decoding the
+    // state against the first input's spec (the proof RESTORE and the
+    // epoch fold use) turns a mismatch into an error message instead.
+    lps::BitWriter writer;
+    next->Serialize(&writer);
+    auto checked =
+        lps::DecodeSketchState(spec, writer.words(), writer.bit_count());
+    if (!checked.ok()) {
+      std::fprintf(stderr, "cannot merge %s into %s: %s\n", argv[a],
+                   argv[3], checked.status().ToString().c_str());
+      return 2;
+    }
+    merged->Merge(*checked.value());
   }
   std::printf("merged %d shards\n", argc - 3);
   return SaveSketch(*merged, out);
