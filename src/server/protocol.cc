@@ -43,6 +43,8 @@ ssize_t ReadFull(int fd, uint8_t* buffer, size_t size) {
   return ssize_t(done);
 }
 
+}  // namespace
+
 Status WriteFull(int fd, const uint8_t* buffer, size_t size) {
   size_t done = 0;
   while (done < size) {
@@ -58,8 +60,6 @@ Status WriteFull(int fd, const uint8_t* buffer, size_t size) {
   }
   return Status::OK();
 }
-
-}  // namespace
 
 // ------------------------------------------------------------- payloads --
 

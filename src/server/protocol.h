@@ -238,7 +238,10 @@ Result<Frame> DecodeFramePayload(const uint8_t* payload, size_t size);
 /// Blocking frame I/O over a connected socket. ReadFrame returns
 /// InvalidArgument for protocol violations (length prefix above
 /// max_bytes, truncated payload) and Failed("eof") for a clean peer
-/// close before any byte of a frame.
+/// close before any byte of a frame. WriteFull sends `size` encoded
+/// bytes, blocking while the peer's socket buffers are full; Failed when
+/// the peer is gone.
+Status WriteFull(int fd, const uint8_t* buffer, size_t size);
 Status WriteFrame(int fd, uint8_t first, const BitWriter& body);
 Result<Frame> ReadFrame(int fd, uint32_t max_bytes = kMaxFrameBytes);
 

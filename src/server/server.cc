@@ -13,34 +13,6 @@
 
 namespace lps::server {
 
-// --------------------------------------------------------------- Outbox --
-
-void Server::Outbox::Push(std::vector<uint8_t> frame) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  can_push_.wait(lock,
-                 [&] { return closed_ || queue_.size() < capacity_; });
-  if (closed_) return;
-  queue_.push_back(std::move(frame));
-  can_pop_.notify_one();
-}
-
-bool Server::Outbox::Pop(std::vector<uint8_t>* out) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  can_pop_.wait(lock, [&] { return closed_ || !queue_.empty(); });
-  if (queue_.empty()) return false;
-  *out = std::move(queue_.front());
-  queue_.pop_front();
-  can_push_.notify_one();
-  return true;
-}
-
-void Server::Outbox::Close() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  closed_ = true;
-  can_push_.notify_all();
-  can_pop_.notify_all();
-}
-
 // --------------------------------------------------------------- Server --
 
 Server::Server(Options options) : options_(options) {}
@@ -138,10 +110,9 @@ void Server::Stop() {
     connections.swap(connections_);
   }
   for (auto& connection : connections) {
+    // Wakes a reader blocked in read() or in send() to a full peer.
     ::shutdown(connection->fd, SHUT_RDWR);
-    connection->outbox.Close();
     if (connection->reader.joinable()) connection->reader.join();
-    if (connection->writer.joinable()) connection->writer.join();
     ::close(connection->fd);
   }
   // Every serving thread is gone — a final full snapshot makes a clean
@@ -163,11 +134,9 @@ void Server::AcceptLoop() {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto connection = std::make_unique<Connection>(
-        fd, next_connection_id_.fetch_add(1, std::memory_order_relaxed),
-        options_.outbox_capacity);
+        fd, next_connection_id_.fetch_add(1, std::memory_order_relaxed));
     Connection* raw = connection.get();
     raw->reader = std::thread([this, raw] { ReaderMain(raw); });
-    raw->writer = std::thread([this, raw] { WriterMain(raw); });
     {
       std::lock_guard<std::mutex> lock(connections_mutex_);
       connections_.push_back(std::move(connection));
@@ -178,9 +147,8 @@ void Server::AcceptLoop() {
 
 void Server::ReapFinished() {
   // Unlink finished connections under the lock, but JOIN outside it: a
-  // reader can still be finishing its last request when the writer
-  // flags done, and Stop() takes the same mutex — joining under it
-  // would stall the accept loop (and could deadlock it) behind one
+  // reader flags done just before it returns, and Stop() takes the same
+  // mutex — joining under it would stall the accept loop behind one
   // straggling connection.
   std::vector<std::unique_ptr<Connection>> finished;
   {
@@ -196,7 +164,6 @@ void Server::ReapFinished() {
   }
   for (auto& connection : finished) {
     if (connection->reader.joinable()) connection->reader.join();
-    if (connection->writer.joinable()) connection->writer.join();
     ::close(connection->fd);
   }
 }
@@ -216,42 +183,19 @@ void Server::ReaderMain(Connection* connection) {
     if (!HandleFrame(connection, std::move(frame.value()))) break;
   }
   if (extension_ != nullptr) extension_->OnConnectionClosed(connection->id);
-  connection->outbox.Close();
-  // Wake the writer if it is mid-send on a dead peer, and mark the
-  // connection reapable once the writer drains.
-  ::shutdown(connection->fd, SHUT_RD);
-}
-
-void Server::WriterMain(Connection* connection) {
-  std::vector<uint8_t> bytes;
-  while (connection->outbox.Pop(&bytes)) {
-    size_t done = 0;
-    bool failed = false;
-    while (done < bytes.size()) {
-      const ssize_t n = ::send(connection->fd, bytes.data() + done,
-                               bytes.size() - done, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        failed = true;
-        break;
-      }
-      done += size_t(n);
-    }
-    if (failed) {
-      // Peer is gone: stop draining, and CLOSE the outbox so a reader
-      // blocked in Push (bounded queue full — exactly what a peer that
-      // stopped reading and then died produces) wakes up instead of
-      // waiting forever on a queue nothing will ever pop.
-      connection->outbox.Close();
-      ::shutdown(connection->fd, SHUT_RDWR);
-      break;
-    }
-  }
-  // The outbox only closes once the reader has exited, so every reply is
-  // on the wire: signal EOF to the peer (the fd itself is closed when the
-  // connection is reaped or the server stops).
+  // Every reply was sent inline, so all of them are on the wire: signal
+  // EOF to the peer (the fd itself is closed when the connection is
+  // reaped or the server stops).
   ::shutdown(connection->fd, SHUT_WR);
   connection->done.store(true);
+}
+
+void Server::Send(Connection* connection, const std::vector<uint8_t>& frame) {
+  if (!WriteFull(connection->fd, frame.data(), frame.size()).ok()) {
+    // Peer is gone: shut the socket, so no later reply is sent and the
+    // reader exits on its next read.
+    ::shutdown(connection->fd, SHUT_RDWR);
+  }
 }
 
 void Server::SendOk(Connection* connection, const BitWriter& body) {
@@ -263,13 +207,13 @@ void Server::SendOk(Connection* connection, const BitWriter& body) {
     SendError(connection, "response exceeds the frame size limit");
     return;
   }
-  connection->outbox.Push(std::move(frame));
+  Send(connection, frame);
 }
 
 void Server::SendError(Connection* connection, const std::string& message) {
   BitWriter body;
   WriteString(&body, message);
-  connection->outbox.Push(EncodeFrame(kStatusError, body));
+  Send(connection, EncodeFrame(kStatusError, body));
 }
 
 bool Server::SendMalformed(Connection* connection) {

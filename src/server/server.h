@@ -1,22 +1,20 @@
 // Server — the TCP transport of lps_serve.
 //
-// Threading model (the classic reader/writer-thread shape used by
-// high-throughput pipeline tools): one accept thread owns the listening
-// socket; each accepted connection gets
+// Threading model: one accept thread owns the listening socket; each
+// accepted connection gets ONE thread, its reader. The reader reads
+// length-prefixed frames, decodes the request, calls the matching
+// TenantRegistry method, and writes the encoded response straight to
+// the socket with a blocking send() before it reads the next frame.
 //
-//   - a READER thread: reads length-prefixed frames, decodes the
-//     request, calls the matching TenantRegistry method, and pushes the
-//     encoded response into the connection's outbox;
-//   - a WRITER thread: the only thread that writes the socket, draining
-//     the outbox in order. The outbox is a BOUNDED queue — a client
-//     that stops reading its responses eventually blocks its own reader
-//     thread (per-connection backpressure) instead of growing server
-//     memory.
-//
-// Responses therefore leave in request order, and no lock is held
-// across socket I/O. Cross-tenant parallelism comes from the registry's
-// entry-level locking: N connections ingesting into N tenants proceed
-// concurrently, serialized only per stream.
+// Responses therefore leave in request order (one thread writes), and no
+// lock is held across socket I/O. Backpressure comes from the kernel
+// socket buffers: a client that stops reading its responses blocks only
+// its own reader, in send(), instead of growing server memory. A failed
+// send (dead peer) shuts the socket down and the reader exits on its
+// next read; on a clean EOF every reply is already on the wire when the
+// reader half-closes the write side. Cross-tenant parallelism comes
+// from the registry's entry-level locking: N connections ingesting into
+// N tenants proceed concurrently, serialized only per stream.
 //
 // Failure containment: a malformed frame must never take the daemon
 // down. An oversized length prefix or truncated payload makes the byte
@@ -48,7 +46,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -91,9 +88,6 @@ class Server {
     /// TCP port to bind on 127.0.0.1; 0 asks the kernel for an
     /// ephemeral port (tests/bench), reported by port() after Start().
     int port = 0;
-    /// Bound on queued responses per connection before the reader
-    /// blocks (backpressure against clients that stop reading).
-    size_t outbox_capacity = 64;
     /// Frame payload ceiling handed to ReadFrame.
     uint32_t max_frame_bytes = kMaxFrameBytes;
     /// Durable checkpoint-store directory; "" disables persistence.
@@ -144,36 +138,13 @@ class Server {
   persist::CheckpointStore* store() { return store_.get(); }
 
  private:
-  /// Bounded FIFO of encoded response frames, closed on teardown.
-  class Outbox {
-   public:
-    explicit Outbox(size_t capacity) : capacity_(capacity) {}
-
-    /// Blocks while full; drops the frame if the outbox was closed.
-    void Push(std::vector<uint8_t> frame);
-    /// Blocks while empty; false once closed and drained.
-    bool Pop(std::vector<uint8_t>* out);
-    void Close();
-
-   private:
-    std::mutex mutex_;
-    std::condition_variable can_push_;
-    std::condition_variable can_pop_;
-    std::deque<std::vector<uint8_t>> queue_;
-    size_t capacity_;
-    bool closed_ = false;
-  };
-
   struct Connection {
-    explicit Connection(int fd_in, uint64_t id_in, size_t outbox_capacity)
-        : fd(fd_in), id(id_in), outbox(outbox_capacity) {}
+    Connection(int fd_in, uint64_t id_in) : fd(fd_in), id(id_in) {}
     int fd;
     /// Monotonic per-server id, handed to the FrameHandler extension so
     /// it can track per-connection peers (never reused).
     uint64_t id;
-    Outbox outbox;
     std::thread reader;
-    std::thread writer;
     std::atomic<bool> done{false};
     // ---- INGEST_STREAM run state (touched by the reader thread only) --
     uint64_t stream_count = 0;  ///< updates accepted since the last sync
@@ -183,13 +154,15 @@ class Server {
 
   void AcceptLoop();
   void ReaderMain(Connection* connection);
-  void WriterMain(Connection* connection);
-  /// Decodes and executes one request, enqueueing exactly one response.
+  /// Decodes and executes one request, sending at most one response.
   /// Returns false when the connection must close (unsynchronized
   /// stream).
   bool HandleFrame(Connection* connection, Frame frame);
   void SendOk(Connection* connection, const BitWriter& body);
   void SendError(Connection* connection, const std::string& message);
+  /// Writes one encoded frame from the reader thread; blocks while the
+  /// peer's socket buffers are full.
+  void Send(Connection* connection, const std::vector<uint8_t>& frame);
   /// Answers a body whose interior lengths lied about the frame's
   /// contents. Returns true: the frame boundary was sound, so the
   /// connection keeps serving.

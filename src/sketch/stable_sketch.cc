@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <mutex>
 
 #include "src/kernels/kernels.h"
 #include "src/kernels/stable_transform.h"
@@ -22,9 +23,16 @@ double StableMedianAbs(double p) {
   LPS_CHECK(p > 0 && p <= 2);
   if (p == 1.0) return 1.0;  // median |Cauchy| = tan(pi/4)
   if (p == 2.0) return 0.6744897501960817;  // Phi^{-1}(0.75)
+  // Sketches are built concurrently (server connections, epoch folds),
+  // so the cache is locked; the value is deterministic, so two threads
+  // that both miss compute the same median outside the lock.
+  static std::mutex mutex;
   static std::map<double, double> cache;
-  auto it = cache.find(p);
-  if (it != cache.end()) return it->second;
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    auto it = cache.find(p);
+    if (it != cache.end()) return it->second;
+  }
   // Deterministic offline calibration with a fixed seed; 200001 samples give
   // the median to ~3 decimal places, ample for a constant-factor estimator.
   Rng rng(0xace1dULL);
@@ -36,6 +44,7 @@ double StableMedianAbs(double p) {
   }
   auto mid = values.begin() + kSamples / 2;
   std::nth_element(values.begin(), mid, values.end());
+  std::lock_guard<std::mutex> lock(mutex);
   cache[p] = *mid;
   return *mid;
 }

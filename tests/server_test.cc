@@ -21,8 +21,12 @@
 //     (out-of-range spec parameters, out-of-universe indices, NUL-
 //     aliased tenant names) — every one an error response, never an
 //     abort;
+//   * replies to pipelined requests come back in request order, and all
+//     of them before EOF when the client half-closes;
 //   * a client that stops reading its replies and then dies must not
-//     wedge the writer/reader pair or the accept loop.
+//     wedge its reader or the accept loop;
+//   * concurrent CREATEs of stable-family tenants (which share one
+//     calibration cache) race nothing.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -517,14 +521,13 @@ TEST(ServerTest, OutOfRangeValuesAreErrorsNotAborts) {
   server->Stop();
 }
 
-// A client that stops reading its replies (filling the bounded outbox
-// and the socket buffers) and then dies with a RST must not leave the
-// reader blocked in Outbox::Push forever — the writer's failure path
-// closes the outbox, the pair exits, and the accept loop keeps serving.
+// A client that stops reading its replies (filling the socket buffers,
+// so its reader blocks in send()) and then dies with a RST must not
+// leave that reader blocked forever — the failed send() shuts the
+// socket, the reader exits, and the accept loop keeps serving.
 TEST(ServerTest, DeadSlowClientDoesNotWedgeTheServer) {
   Server::Options options;
   options.port = 0;
-  options.outbox_capacity = 2;
   Server server(options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -545,7 +548,7 @@ TEST(ServerTest, DeadSlowClientDoesNotWedgeTheServer) {
     WriteString(&body, "big");
     const std::vector<uint8_t> request =
         EncodeFrame(uint8_t(Opcode::kSnapshot), body);
-    // Pipeline far more replies than the outbox + socket buffers hold,
+    // Pipeline far more replies than the socket buffers hold,
     // never reading any of them...
     for (int i = 0; i < 32; ++i) {
       if (!slow.SendRaw(request).ok()) break;  // buffers already full
@@ -562,6 +565,103 @@ TEST(ServerTest, DeadSlowClientDoesNotWedgeTheServer) {
   Client fresh = MustConnect(server);
   EXPECT_TRUE(fresh.Stats().ok());
   server.Stop();
+}
+
+// Every request that gets a reply, pipelined on one connection and
+// followed by a half-close: each reply arrives in request order, with
+// its own ok/error kind and payload, and all of them before EOF.
+TEST(ServerTest, PipelinedRepliesArriveInOrderBeforeEof) {
+  auto server = MustStart();
+  Client client = MustConnect(*server);
+  ASSERT_TRUE(client.Create("a", "s", HeavyConfig(1)).ok());
+
+  const std::vector<stream::Update> first = TenantStream(0, 96);
+  const std::vector<stream::Update> streamed = TenantStream(1, 40);
+  constexpr int kStreamFrames = 3;
+  auto updates_body = [](const std::string& tenant,
+                         const std::vector<stream::Update>& updates) {
+    BitWriter body;
+    WriteString(&body, tenant);
+    WriteString(&body, "s");
+    WriteUpdates(&body, updates.data(), updates.size());
+    return body;
+  };
+  std::vector<uint8_t> burst;
+  auto append = [&burst](Opcode opcode, const BitWriter& body) {
+    const std::vector<uint8_t> frame = EncodeFrame(uint8_t(opcode), body);
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  };
+  append(Opcode::kIngest, updates_body("a", first));
+  append(Opcode::kIngest, updates_body("ghost", first));
+  for (int i = 0; i < kStreamFrames; ++i) {
+    append(Opcode::kIngestStream, updates_body("a", streamed));
+  }
+  append(Opcode::kIngestSync, BitWriter());
+  BitWriter query;
+  WriteString(&query, "a");
+  WriteString(&query, "s");
+  append(Opcode::kQuery, query);
+  const std::vector<uint8_t> unknown = EncodeFrame(0x7E, BitWriter());
+  burst.insert(burst.end(), unknown.begin(), unknown.end());
+  append(Opcode::kStats, BitWriter());
+  ASSERT_TRUE(client.SendRaw(burst).ok());
+  ASSERT_EQ(::shutdown(client.fd(), SHUT_WR), 0);
+
+  const uint64_t total = first.size() + kStreamFrames * streamed.size();
+  auto next = [&client](uint8_t want) {
+    Result<Frame> reply = client.ReadReply();
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+    if (reply.ok()) {
+      EXPECT_EQ(reply->first, want);
+    }
+    return reply;
+  };
+  auto ingest = next(kStatusOk);
+  ASSERT_TRUE(ingest.ok());
+  EXPECT_EQ(ingest.value().body.ReadU64(), first.size());
+  ASSERT_TRUE(next(kStatusError).ok());  // missing tenant
+  auto sync = next(kStatusOk);
+  ASSERT_TRUE(sync.ok());
+  EXPECT_EQ(sync.value().body.ReadU64(), kStreamFrames * streamed.size());
+  EXPECT_EQ(sync.value().body.ReadU64(), total);
+  auto answer = next(kStatusOk);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(DeserializeQueryResult(&answer.value().body).type,
+            QueryResult::Type::kHeavyHitters);
+  ASSERT_TRUE(next(kStatusError).ok());  // unknown opcode
+  auto stats = next(kStatusOk);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(DeserializeStats(&stats.value().body).updates, total);
+  // Every reply was on the wire before the server's half-close.
+  EXPECT_FALSE(client.ReadReply().ok());
+  server->Stop();
+}
+
+// Stable-family sketches with p outside {1, 2} share a process-wide
+// median-calibration cache; CREATEs on separate connections build their
+// sketches concurrently, outside any registry lock. Run under TSan.
+TEST(ServerTest, ConcurrentStableCreatesShareTheCalibrationCache) {
+  auto server = MustStart();
+  constexpr int kClients = 4;
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&server, c] {
+      Client client = MustConnect(*server);
+      SketchConfig config;
+      config.spec.kind = SketchKind::kLpSampler;
+      config.spec.n = kN;
+      config.spec.p = 0.7;
+      config.spec.seed = uint64_t(c) + 1;
+      const std::string tenant = "t" + std::to_string(c);
+      const Status created = client.Create(tenant, "s", config);
+      EXPECT_TRUE(created.ok()) << created.ToString();
+      ASSERT_TRUE(client.Ingest(tenant, "s", TenantStream(c, 256)).ok());
+      const auto result = client.Query(tenant, "s");
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  server->Stop();
 }
 
 TEST(ServerTest, StreamedIngestMatchesRpcIngestBitForBit) {
