@@ -9,12 +9,13 @@
 // skewed turnstile stream and compares against the exact value.
 //
 // Build & run:  ./build/examples/moment_estimation
+#include <algorithm>
 #include <cstdio>
 
 #include "src/apps/moment_estimation.h"
 #include "src/stream/exact_vector.h"
 #include "src/stream/generators.h"
-#include "src/stream/stream_driver.h"
+#include "src/stream/update.h"
 
 int main() {
   const uint64_t n = 512;
@@ -32,8 +33,11 @@ int main() {
 
   for (int samples : {16, 64, 256}) {
     lps::apps::MomentEstimator est({n, p, samples, 1.9, 77});
-    lps::stream::StreamDriver driver;
-    driver.Add("moments", &est).Drive(stream);
+    for (size_t i = 0; i < stream.size(); i += lps::stream::kDefaultBatchSize) {
+      est.UpdateBatch(stream.data() + i,
+                      std::min(lps::stream::kDefaultBatchSize,
+                               stream.size() - i));
+    }
     auto r = est.Estimate();
     if (r.ok()) {
       std::printf("samples=%3d : F_3 ~ %.3e   (ratio %.2f, %zu bits)\n",

@@ -9,13 +9,14 @@
 // optimal.
 //
 // Build & run:  ./build/examples/network_heavy_hitters
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "src/heavy/heavy_hitters.h"
 #include "src/stream/exact_vector.h"
 #include "src/stream/generators.h"
-#include "src/stream/stream_driver.h"
+#include "src/stream/update.h"
 #include "src/util/bits.h"
 #include "src/util/random.h"
 
@@ -45,16 +46,21 @@ int main() {
   lps::heavy::CmHeavyHitters cm({num_flows, phi, 0, 1001, false});
   lps::heavy::DyadicHeavyHitters dyadic(log_n, phi, 1002);
 
-  // Updates arrive one flow record at a time; the driver buffers them and
-  // flushes full batches through both sketches' fast paths.
-  lps::stream::StreamDriver driver;
-  driver.Add("count_min", &cm).Add("dyadic", &dyadic);
+  // Drop the no-op records, then feed both sketches' fast paths in
+  // cache-sized batches.
+  lps::stream::UpdateStream records;
   for (const auto& u : traffic) {
     if (u.delta == 0) continue;
     exact.Apply(u);
-    driver.Push(u);
+    records.push_back(u);
   }
-  driver.Flush();
+  for (size_t i = 0; i < records.size();
+       i += lps::stream::kDefaultBatchSize) {
+    const size_t count =
+        std::min(lps::stream::kDefaultBatchSize, records.size() - i);
+    cm.UpdateBatch(records.data() + i, count);
+    dyadic.UpdateBatch(records.data() + i, count);
+  }
 
   const auto truth = exact.HeavyHitters(1.0, phi);
   std::printf("ground truth: %zu flows above %.0f%% of %0.f total bytes\n",

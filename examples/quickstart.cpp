@@ -11,6 +11,7 @@
 // for typed access, but nothing here needs them.
 //
 // Build & run:  ./build/quickstart
+#include <algorithm>
 #include <cstdio>
 
 #include "src/lps.h"
@@ -49,8 +50,12 @@ int main() {
   auto l0 = lps::MakeSketch(l0_spec);
 
   // One pass of the stream through both samplers, in cache-sized batches.
-  lps::stream::StreamDriver driver;
-  driver.Add("l1", l1.get()).Add("l0", l0.get()).Drive(stream);
+  for (size_t i = 0; i < stream.size(); i += lps::stream::kDefaultBatchSize) {
+    const size_t count =
+        std::min(lps::stream::kDefaultBatchSize, stream.size() - i);
+    l1->UpdateBatch(stream.data() + i, count);
+    l0->UpdateBatch(stream.data() + i, count);
+  }
 
   std::printf("stream applied; exact vector: x[42]=%ld x[7]=%ld x[999]=%ld "
               "x[500]=%ld, ||x||_1=%.0f, support=%zu\n",

@@ -4,10 +4,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -15,12 +14,17 @@
 #include <utility>
 #include <vector>
 
-#include "src/io/io_internal.h"
 #include "src/util/check.h"
 
 namespace lps::io {
 
 namespace {
+
+/// Ring depth: reads the producer may run ahead of the consumer.
+constexpr size_t kRingSlots = 4;
+
+/// Ring-slot alignment: one page, so positional reads land page-aligned.
+constexpr size_t kIoAlignment = 4096;
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -28,25 +32,12 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-}  // namespace
+struct FreeDeleter {
+  void operator()(char* p) const { std::free(p); }
+};
+using AlignedBuffer = std::unique_ptr<char, FreeDeleter>;
 
-// ----------------------------------------------------------- MemorySource --
-
-MemorySource::MemorySource(const char* data, size_t size, size_t chunk_size)
-    : data_(data), size_(size), chunk_size_(chunk_size) {
-  LPS_CHECK(chunk_size_ >= 1);
-}
-
-Result<Chunk> MemorySource::Next() {
-  if (position_ >= size_) return Chunk{};
-  const size_t take = std::min(chunk_size_, size_ - position_);
-  Chunk chunk{data_ + position_, take};
-  position_ += take;
-  return chunk;
-}
-
-// ----------------------------------------------------------- PrefetchRing --
-
+/// Allocates kIoAlignment-aligned storage of at least `bytes`.
 AlignedBuffer AllocateAligned(size_t bytes) {
   // Page-align both the base and the length: pread into aligned buffers
   // keeps the copy path friendly to O_DIRECT-like access patterns and to
@@ -57,81 +48,116 @@ AlignedBuffer AllocateAligned(size_t bytes) {
   return AlignedBuffer(static_cast<char*>(raw));
 }
 
-PrefetchRing::PrefetchRing(size_t slots, size_t slot_bytes)
-    : slot_bytes_(slot_bytes) {
-  LPS_CHECK(slots >= 2);  // double-buffered at minimum: one filling, one read
-  LPS_CHECK(slot_bytes >= 1);
-  slots_.resize(slots);
-  for (Slot& slot : slots_) slot.buffer = AllocateAligned(slot_bytes);
-}
-
-char* PrefetchRing::AcquireFree() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  can_fill_.wait(lock, [this] { return filled_ < slots_.size() || stopped_; });
-  if (stopped_) return nullptr;
-  return slots_[(head_ + filled_) % slots_.size()].buffer.get();
-}
-
-void PrefetchRing::CommitFilled(size_t size) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  slots_[(head_ + filled_) % slots_.size()].size = size;
-  ++filled_;
-  can_consume_.notify_one();
-}
-
-void PrefetchRing::FinishEof() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_ = true;
-  can_consume_.notify_one();
-}
-
-void PrefetchRing::FinishError(Status status) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  error_ = std::move(status);
-  done_ = true;
-  can_consume_.notify_one();
-}
-
-Result<Chunk> PrefetchRing::Next() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (holding_) {
-    // Recycle the slot handed out by the previous Next().
-    head_ = (head_ + 1) % slots_.size();
-    --filled_;
-    holding_ = false;
-    can_fill_.notify_one();
+/// Bounded ring of filled buffers between one producer (the prefetch
+/// thread) and one consumer (Next()). The producer blocks while every
+/// slot is filled — that bound is the backpressure that keeps a fast
+/// reader from outrunning a slow pipeline. The consumer blocks while no
+/// slot is filled, and that wait is metered: it is exactly the read time
+/// ingestion failed to overlap.
+class PrefetchRing {
+ public:
+  PrefetchRing(size_t slots, size_t slot_bytes) : slot_bytes_(slot_bytes) {
+    LPS_CHECK(slots >= 2);  // double-buffered at minimum: one filling, one read
+    LPS_CHECK(slot_bytes >= 1);
+    slots_.resize(slots);
+    for (Slot& slot : slots_) slot.buffer = AllocateAligned(slot_bytes);
   }
-  if (filled_ == 0 && !done_) {
-    const auto start = std::chrono::steady_clock::now();
-    can_consume_.wait(lock, [this] { return filled_ > 0 || done_; });
-    wait_seconds_ += SecondsSince(start);
+
+  // Producer side.
+  /// Blocks until a slot is free; returns its buffer, or nullptr once
+  /// the consumer has stopped (destruction) — the producer must exit.
+  char* AcquireFree() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    can_fill_.wait(lock,
+                   [this] { return filled_ < slots_.size() || stopped_; });
+    if (stopped_) return nullptr;
+    return slots_[(head_ + filled_) % slots_.size()].buffer.get();
   }
-  if (filled_ == 0) {
-    // Drained: report the terminal condition (sticky).
-    if (!error_.ok()) return error_;
-    return Chunk{};
+
+  void CommitFilled(size_t size) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    slots_[(head_ + filled_) % slots_.size()].size = size;
+    ++filled_;
+    can_consume_.notify_one();
   }
-  const Slot& slot = slots_[head_];
-  holding_ = true;
-  bytes_read_ += slot.size;
-  return Chunk{slot.buffer.get(), slot.size};
-}
 
-void PrefetchRing::Stop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  stopped_ = true;
-  can_fill_.notify_all();
-}
+  void FinishEof() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_ = true;
+    can_consume_.notify_one();
+  }
 
-// -------------------------------------------------- thread-backed sources --
+  void FinishError(Status status) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    error_ = std::move(status);
+    done_ = true;
+    can_consume_.notify_one();
+  }
 
-namespace {
+  // Consumer side (ByteSource::Next semantics: recycles the previously
+  // returned slot, then blocks for the next filled one).
+  Result<Chunk> Next() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (holding_) {
+      // Recycle the slot handed out by the previous Next().
+      head_ = (head_ + 1) % slots_.size();
+      --filled_;
+      holding_ = false;
+      can_fill_.notify_one();
+    }
+    if (filled_ == 0 && !done_) {
+      const auto start = std::chrono::steady_clock::now();
+      can_consume_.wait(lock, [this] { return filled_ > 0 || done_; });
+      wait_seconds_ += SecondsSince(start);
+    }
+    if (filled_ == 0) {
+      // Drained: report the terminal condition (sticky).
+      if (!error_.ok()) return error_;
+      return Chunk{};
+    }
+    const Slot& slot = slots_[head_];
+    holding_ = true;
+    bytes_read_ += slot.size;
+    return Chunk{slot.buffer.get(), slot.size};
+  }
 
-/// Shared shape of the thread-prefetched sources: a producer thread runs
-/// `fill` (a positional or streaming read) into ring slots until EOF,
-/// error, or the consumer stops caring (destruction). AsyncFileReader
-/// and AsyncSocketSource differ only in the fill function and whether
-/// they own the fd.
+  /// Unblocks a producer stuck in AcquireFree; call before joining it.
+  void Stop() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    stopped_ = true;
+    can_fill_.notify_all();
+  }
+
+  size_t slot_bytes() const { return slot_bytes_; }
+  uint64_t bytes_read() const { return bytes_read_; }
+  double wait_seconds() const { return wait_seconds_; }
+
+ private:
+  struct Slot {
+    AlignedBuffer buffer;
+    size_t size = 0;
+  };
+
+  const size_t slot_bytes_;
+  std::mutex mutex_;
+  std::condition_variable can_fill_;
+  std::condition_variable can_consume_;
+  std::vector<Slot> slots_;
+  size_t head_ = 0;        // oldest filled slot
+  size_t filled_ = 0;      // filled, not yet recycled (includes held one)
+  bool holding_ = false;   // consumer holds slots_[head_]
+  bool done_ = false;      // producer finished (EOF or error_)
+  bool stopped_ = false;   // consumer gone; producer must exit
+  Status error_;
+  uint64_t bytes_read_ = 0;
+  double wait_seconds_ = 0;
+};
+
+/// The one file reader: a producer thread runs `fill` (a positional or
+/// streaming read) into ring slots until EOF, error, or the consumer
+/// stops caring (destruction). Regular files and streams (pipes,
+/// sockets, stdin) differ only in the fill function and whether the
+/// source owns the fd.
 class ThreadPrefetchSource : public ByteSource {
  public:
   /// fill(buffer, capacity, offset) returns bytes read (0 = EOF) or -1
@@ -140,10 +166,9 @@ class ThreadPrefetchSource : public ByteSource {
                              uint64_t offset);
 
   ThreadPrefetchSource(int fd, bool owns_fd, FillFn fill,
-                       const char* backend_name,
                        const FileSourceOptions& options)
-      : ring_(std::max<size_t>(options.ring_slots, 2), options.buffer_bytes),
-        fd_(fd), owns_fd_(owns_fd), fill_(fill), backend_name_(backend_name) {
+      : ring_(kRingSlots, options.buffer_bytes),
+        fd_(fd), owns_fd_(owns_fd), fill_(fill) {
     producer_ = std::thread([this] { ProducerMain(); });
   }
 
@@ -156,7 +181,6 @@ class ThreadPrefetchSource : public ByteSource {
   Result<Chunk> Next() override { return ring_.Next(); }
   uint64_t bytes_read() const override { return ring_.bytes_read(); }
   double wait_seconds() const override { return ring_.wait_seconds(); }
-  const char* backend() const override { return backend_name_; }
 
  private:
   void ProducerMain() {
@@ -183,7 +207,6 @@ class ThreadPrefetchSource : public ByteSource {
   const int fd_;
   const bool owns_fd_;
   const FillFn fill_;
-  const char* backend_name_;
   std::thread producer_;
 };
 
@@ -202,98 +225,29 @@ ssize_t FillRead(int fd, char* buffer, size_t capacity, uint64_t /*offset*/) {
   }
 }
 
-/// The no-prefetch baseline: one buffer, reads happen inline in Next().
-/// All read time is consumer wait time by construction — exactly what a
-/// synchronous ingest loop pays — which makes it the honest "naive"
-/// reference for bench_io's overlap measurement (LPS_IO=sync).
-class SyncFileSource : public ByteSource {
- public:
-  SyncFileSource(int fd, bool owns_fd, size_t buffer_bytes)
-      : buffer_(AllocateAligned(buffer_bytes)), capacity_(buffer_bytes),
-        fd_(fd), owns_fd_(owns_fd) {}
-
-  ~SyncFileSource() override {
-    if (owns_fd_) ::close(fd_);
-  }
-
-  Result<Chunk> Next() override {
-    if (done_) return Chunk{};
-    const auto start = std::chrono::steady_clock::now();
-    const ssize_t got = FillRead(fd_, buffer_.get(), capacity_, 0);
-    wait_seconds_ += SecondsSince(start);
-    if (got < 0) {
-      done_ = true;
-      return Status::Failed(std::string("read failed: ") +
-                            std::strerror(errno));
-    }
-    if (got == 0) {
-      done_ = true;
-      return Chunk{};
-    }
-    bytes_read_ += static_cast<uint64_t>(got);
-    return Chunk{buffer_.get(), static_cast<size_t>(got)};
-  }
-
-  uint64_t bytes_read() const override { return bytes_read_; }
-  double wait_seconds() const override { return wait_seconds_; }
-  const char* backend() const override { return "sync"; }
-
- private:
-  AlignedBuffer buffer_;
-  const size_t capacity_;
-  const int fd_;
-  const bool owns_fd_;
-  bool done_ = false;
-  uint64_t bytes_read_ = 0;
-  double wait_seconds_ = 0;
-};
-
-// ----------------------------------------------------- backend resolution --
-
-IoBackend ResolveAuto() {
-  return UringRuntimeAvailable() ? IoBackend::kUring : IoBackend::kThread;
-}
-
-/// Resolves the process-wide file backend once, LPS_KERNELS-style: the
-/// LPS_IO environment variable wins when set and satisfiable; an
-/// unsatisfiable or unknown request logs a note and falls back.
-IoBackend ResolvedBackend() {
-  static const IoBackend resolved = [] {
-    const char* env = std::getenv("LPS_IO");
-    if (env == nullptr || env[0] == '\0') return ResolveAuto();
-    const std::string want(env);
-    if (want == "sync") return IoBackend::kSync;
-    if (want == "thread") return IoBackend::kThread;
-    if (want == "uring") {
-      if (UringRuntimeAvailable()) return IoBackend::kUring;
-      std::fprintf(stderr,
-                   "lps: LPS_IO=uring but io_uring is unavailable "
-                   "(not compiled in or kernel refused); using thread\n");
-      return IoBackend::kThread;
-    }
-    std::fprintf(stderr, "lps: unknown LPS_IO='%s' (want sync|thread|uring)\n",
-                 env);
-    return ResolveAuto();
-  }();
-  return resolved;
-}
-
 }  // namespace
 
-const char* IoBackendName() {
-  switch (ResolvedBackend()) {
-    case IoBackend::kSync: return "sync";
-    case IoBackend::kUring: return "uring";
-    case IoBackend::kAuto:
-    case IoBackend::kThread: break;
-  }
-  return "thread";
+// ----------------------------------------------------------- MemorySource --
+
+MemorySource::MemorySource(const char* data, size_t size, size_t chunk_size)
+    : data_(data), size_(size), chunk_size_(chunk_size) {
+  LPS_CHECK(chunk_size_ >= 1);
 }
+
+Result<Chunk> MemorySource::Next() {
+  if (position_ >= size_) return Chunk{};
+  const size_t take = std::min(chunk_size_, size_ - position_);
+  Chunk chunk{data_ + position_, take};
+  position_ += take;
+  return chunk;
+}
+
+// ------------------------------------------------------------ file sources --
 
 std::unique_ptr<ByteSource> MakeSocketSource(int fd, bool owns_fd,
                                              const FileSourceOptions& options) {
   return std::make_unique<ThreadPrefetchSource>(fd, owns_fd, FillRead,
-                                                "thread", options);
+                                                options);
 }
 
 Result<std::unique_ptr<ByteSource>> MakeFileSource(
@@ -310,22 +264,10 @@ Result<std::unique_ptr<ByteSource>> MakeFileSource(
   const bool regular = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
   if (!regular) {
     // Pipes / devices: positional reads are meaningless; stream them.
-    return std::unique_ptr<ByteSource>(
-        MakeSocketSource(fd, /*owns_fd=*/true, options));
-  }
-  IoBackend backend = options.backend;
-  if (backend == IoBackend::kAuto) backend = ResolvedBackend();
-  if (backend == IoBackend::kUring) {
-    auto uring = MakeUringFileSource(fd, options);
-    if (uring != nullptr) return std::unique_ptr<ByteSource>(std::move(uring));
-    backend = IoBackend::kThread;  // per-file fallback (e.g. setup raced out)
-  }
-  if (backend == IoBackend::kSync) {
-    return std::unique_ptr<ByteSource>(std::make_unique<SyncFileSource>(
-        fd, /*owns_fd=*/true, options.buffer_bytes));
+    return MakeSocketSource(fd, /*owns_fd=*/true, options);
   }
   return std::unique_ptr<ByteSource>(std::make_unique<ThreadPrefetchSource>(
-      fd, /*owns_fd=*/true, FillPread, "thread", options));
+      fd, /*owns_fd=*/true, FillPread, options));
 }
 
 }  // namespace lps::io

@@ -53,14 +53,11 @@ class StreamFeeder {
     /// Max updates per sink call. The default matches the pipeline's
     /// batch size, but the value does not affect final sketch state
     /// (see the determinism note above).
-    size_t batch_size = 4096;
+    size_t batch_size = stream::kDefaultBatchSize;
     /// Decode on a dedicated thread (three-stage overlap). When false,
     /// decode runs inline on the Feed() caller — the deterministic
     /// low-thread mode, and the honest baseline for overlap numbers.
     bool async_decode = true;
-    /// Decoded batches buffered between decode and ingest; the bound is
-    /// the backpressure.
-    size_t queue_batches = 8;
   };
 
   StreamFeeder(std::unique_ptr<ByteSource> source, Options options);

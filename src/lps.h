@@ -10,7 +10,6 @@
 //                     access (core::LpSampler, heavy::CsHeavyHitters, ...)
 //   Ingestion         Topology (one stream's replicas + pipeline +
 //                     window + epoch loop, built from a SketchConfig),
-//                     stream::StreamDriver (single-threaded batching),
 //                     stream::ParallelPipeline (thread-per-shard runtime),
 //                     stream::WindowManager (sliding windows by
 //                     subtraction), io::StreamFeeder over io::ByteSource
@@ -54,7 +53,6 @@
 #include "src/stream/generators.h"
 #include "src/stream/linear_sketch.h"
 #include "src/stream/parallel_pipeline.h"
-#include "src/stream/stream_driver.h"
 #include "src/stream/update.h"
 #include "src/stream/window_manager.h"
 #include "src/util/serialize.h"

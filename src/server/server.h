@@ -131,7 +131,7 @@ class Server {
   /// Must run before Start(); `handler` must outlive the server.
   void set_extension(FrameHandler* handler) { extension_ = handler; }
 
-  /// Tenants rebuilt from the store during Start() (0 without data_dir).
+  /// Tenants rebuilt from the store by Start() (0 without data_dir).
   size_t restored_tenants() const { return restored_tenants_; }
 
   /// The open checkpoint store; null without data_dir / before Start().

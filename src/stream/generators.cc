@@ -174,13 +174,45 @@ UpdateStream PlantedHeavyHitters(uint64_t n, uint64_t num_heavy,
 
 LetterStream DuplicateStream(uint64_t n, uint64_t extras, uint64_t seed) {
   Rng rng(seed);
-  LetterStream letters(n);
-  std::iota(letters.begin(), letters.end(), 0);
-  Shuffle(&letters, &rng);
+  LetterStream base(n);
+  std::iota(base.begin(), base.end(), 0);
+  Shuffle(&base, &rng);
+  // Extra e is letter[e] inserted at position pos[e] of the n + e letters
+  // before it. Inserting one at a time is quadratic, so the inserts are
+  // replayed backwards instead: the last lands at its own position, and
+  // each earlier one at the pos-th slot no later insert took — found in
+  // O(log length) by a Fenwick tree counting free slots.
+  std::vector<uint64_t> letter(extras), pos(extras);
   for (uint64_t e = 0; e < extras; ++e) {
-    const uint64_t letter = rng.Below(n);
-    const uint64_t pos = rng.Below(letters.size() + 1);
-    letters.insert(letters.begin() + static_cast<int64_t>(pos), letter);
+    letter[e] = rng.Below(n);
+    pos[e] = rng.Below(n + e + 1);
+  }
+  const uint64_t length = n + extras;
+  // 1-based; node i covers the lowbit(i) slots ending at i, all free.
+  std::vector<uint64_t> free_tree(length + 1, 0);
+  for (uint64_t i = 1; i <= length; ++i) free_tree[i] = i & (~i + 1);
+  uint64_t top = 1;
+  while (top * 2 <= length) top *= 2;
+  LetterStream letters(length);
+  std::vector<bool> taken(length, false);
+  for (uint64_t e = extras; e-- > 0;) {
+    uint64_t slot = 0;  // ends as the 0-based index of the free slot
+    uint64_t rank = pos[e];
+    for (uint64_t step = top; step > 0; step /= 2) {
+      if (slot + step <= length && free_tree[slot + step] <= rank) {
+        slot += step;
+        rank -= free_tree[slot];
+      }
+    }
+    letters[slot] = letter[e];
+    taken[slot] = true;
+    for (uint64_t i = slot + 1; i <= length; i += i & (~i + 1)) {
+      --free_tree[i];
+    }
+  }
+  uint64_t next = 0;
+  for (uint64_t i = 0; i < length; ++i) {
+    if (!taken[i]) letters[i] = base[next++];
   }
   return letters;
 }

@@ -115,9 +115,9 @@ class LinearSketch {
   /// counters.
   virtual void Serialize(BitWriter* writer) const = 0;
 
-  /// Restores serialized state, reconfiguring this object to the
-  /// serialized parameters. CHECK-fails on a kind mismatch or a version
-  /// newer than this library writes.
+  /// Restores serialized state, adopting the serialized parameters in
+  /// place of this object's own. CHECK-fails on a kind mismatch or a
+  /// version newer than this library writes.
   virtual void Deserialize(BitReader* reader) = 0;
 
   /// Zeroes the counters while keeping seeds, parameters, and

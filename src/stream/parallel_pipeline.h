@@ -67,7 +67,6 @@
 #include <vector>
 
 #include "src/stream/linear_sketch.h"
-#include "src/stream/stream_driver.h"
 #include "src/stream/update.h"
 
 namespace lps::stream {
@@ -92,7 +91,7 @@ class ParallelPipeline {
     /// clamped — one worker per shard is the maximum useful parallelism.
     int threads = 0;
     Partition partition = Partition::kByIndex;
-    size_t batch_size = StreamDriver::kDefaultBatchSize;
+    size_t batch_size = kDefaultBatchSize;
     size_t queue_capacity = kDefaultQueueCapacity;
   };
 
@@ -100,7 +99,7 @@ class ParallelPipeline {
 
   /// Drains every queued batch, stops the workers, and joins them. Staged
   /// (unsealed) updates are NOT flushed — call Flush() first if they must
-  /// reach the sinks, exactly like StreamDriver's Push/Flush contract.
+  /// reach the sinks.
   ~ParallelPipeline();
 
   ParallelPipeline(const ParallelPipeline&) = delete;

@@ -5,6 +5,7 @@
 // model they may be arbitrary.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -16,6 +17,13 @@ struct Update {
 };
 
 using UpdateStream = std::vector<Update>;
+
+/// Updates per UpdateBatch call on the library's ingest paths
+/// (ParallelPipeline, StreamFeeder) and in the examples: 4096 x 16 bytes
+/// = 64 KiB, which fits L2 alongside the sinks' tables without thrashing
+/// L1. Chunking never changes exact-arithmetic state; the floating-point
+/// kinds under SIMD kernels can differ in low-order bits when it moves.
+inline constexpr size_t kDefaultBatchSize = 4096;
 
 /// An update with a real-valued delta: what the sketches below the sampler
 /// layer actually ingest, because the Lp sampler feeds them the *scaled*

@@ -31,7 +31,7 @@ Status AtomicWriteFile(const std::string& path, const void* data,
                        size_t size) {
   // The temporary must be a sibling so the final rename stays within one
   // filesystem. Suffix with the pid so two processes publishing the same
-  // path (e.g. a snapshot race during shutdown) cannot corrupt each
+  // path (e.g. a snapshot race at shutdown) cannot corrupt each
   // other's temporary; the rename itself is last-writer-wins either way.
   const std::string tmp =
       path + ".tmp." + std::to_string(static_cast<long>(getpid()));

@@ -23,6 +23,7 @@
 
 #include "src/lps.h"
 #include "src/server/tenant_registry.h"
+#include "src/util/random.h"
 
 namespace lps {
 namespace {
@@ -273,6 +274,54 @@ TEST(UpdateDecoder, OverlongLineIsOneMalformedRecord) {
     EXPECT_EQ(got.malformed, 1u) << "chunk " << chunk;
     const UpdateStream want = {{2, 3}};
     EXPECT_TRUE(SameUpdates(got.updates, want)) << "chunk " << chunk;
+  }
+}
+
+// Seeded mutation sweep over both encodings: bit flips, truncations,
+// random-byte overwrites and inserted junk, decoded at random chunkings.
+// Whatever the damage, the decoder must not abort, Finish is OK exactly
+// when a header was decoded, every emitted index lies in [0, n), and
+// decoded() counts exactly the updates emitted.
+TEST(UpdateDecoder, MutatedTracesKeepTheDecoderContract) {
+  const uint64_t n = 1000;
+  const auto updates = stream::UniformTurnstile(n, 200, 1000, 17);
+  const std::string clean[] = {TextTrace(n, updates), BinaryTrace(n, updates)};
+  Rng rng(2024);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string bytes = clean[trial % 2];
+    const uint64_t edits = 1 + rng.Below(4);
+    for (uint64_t e = 0; e < edits && !bytes.empty(); ++e) {
+      const size_t at = rng.Below(bytes.size());
+      switch (rng.Below(4)) {
+        case 0:
+          bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.Below(8)));
+          break;
+        case 1:
+          bytes.resize(at);
+          break;
+        case 2:
+          bytes[at] = static_cast<char>(rng.Below(256));
+          break;
+        default: {
+          std::string junk(1 + rng.Below(24), '\0');
+          for (char& c : junk) c = static_cast<char>(rng.Below(256));
+          bytes.insert(at, junk);
+        }
+      }
+    }
+    UpdateDecoder decoder;
+    UpdateStream out;
+    const size_t max_chunk = rng.Below(2) == 0 ? 16 : 4096;
+    for (size_t at = 0; at < bytes.size();) {
+      const size_t chunk =
+          std::min<size_t>(1 + rng.Below(max_chunk), bytes.size() - at);
+      decoder.Consume(bytes.data() + at, chunk, &out);
+      at += chunk;
+    }
+    const Status status = decoder.Finish(&out);
+    ASSERT_EQ(status.ok(), decoder.have_header()) << "trial " << trial;
+    for (const Update& u : out) ASSERT_LT(u.index, decoder.n()) << trial;
+    ASSERT_EQ(decoder.decoded(), out.size()) << "trial " << trial;
   }
 }
 

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -28,7 +29,6 @@
 #include "src/norm/lp_norm.h"
 #include "src/sketch/stable_sketch.h"
 #include "src/stream/generators.h"
-#include "src/stream/stream_driver.h"
 #include "src/util/random.h"
 
 namespace lps::kernels {
@@ -291,6 +291,16 @@ bool EmbedsStableSketch(SketchKind kind) {
   }
 }
 
+/// Feeds `stream` to `sink` through UpdateBatch in 193-update chunks: an
+/// odd batch size, so partial tail batches are exercised.
+template <typename Sink>
+void IngestInChunks(Sink* sink, const stream::UpdateStream& stream) {
+  constexpr size_t kChunk = 193;
+  for (size_t i = 0; i < stream.size(); i += kChunk) {
+    sink->UpdateBatch(stream.data() + i, std::min(kChunk, stream.size() - i));
+  }
+}
+
 std::vector<uint64_t> SerializedState(SketchKind kind, Backend backend) {
   ScopedBackend pin(backend);
   SketchSpec spec;
@@ -304,9 +314,7 @@ std::vector<uint64_t> SerializedState(SketchKind kind, Backend backend) {
   auto sketch = MakeSketch(spec);
   EXPECT_NE(sketch, nullptr) << SketchKindName(kind);
   const auto stream = stream::UniformTurnstile(1 << 10, 6000, 50, 9);
-  stream::StreamDriver driver(193);  // odd batch size: partial tail batches
-  driver.Add("x", sketch.get());
-  driver.Drive(stream);
+  IngestInChunks(sketch.get(), stream);
   BitWriter writer;
   sketch->Serialize(&writer);
   return writer.words();
@@ -343,8 +351,8 @@ TEST(KernelSweep, StableFamilyQueryEquivalentAcrossBackends) {
       ScopedBackend pin(Backend::kScalar);
       sketch::StableSketch s(1.0, 32, 21);
       norm::LpNormEstimator e(1.0, 32, 22);
-      stream::StreamDriver driver(193);
-      driver.Add("s", &s).Add("e", &e).Drive(stream);
+      IngestInChunks(&s, stream);
+      IngestInChunks(&e, stream);
       want_norm = s.EstimateNorm();
       want_est = e.Estimate2Approx();
     }
@@ -352,8 +360,8 @@ TEST(KernelSweep, StableFamilyQueryEquivalentAcrossBackends) {
       ScopedBackend pin(bk);
       sketch::StableSketch s(1.0, 32, 21);
       norm::LpNormEstimator e(1.0, 32, 22);
-      stream::StreamDriver driver(193);
-      driver.Add("s", &s).Add("e", &e).Drive(stream);
+      IngestInChunks(&s, stream);
+      IngestInChunks(&e, stream);
       got_norm = s.EstimateNorm();
       got_est = e.Estimate2Approx();
     }

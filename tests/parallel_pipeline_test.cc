@@ -153,7 +153,7 @@ TEST(ParallelPipeline, InlineMatchesThreadedBitForBit) {
   auto via_pipeline = PipelineIngest<sketch::CountSketch>(
       make, stream,
       PipelineOptions(3, 2, ParallelPipeline::Partition::kByIndex,
-                      stream::StreamDriver::kDefaultBatchSize, 8));
+                      stream::kDefaultBatchSize, 8));
   EXPECT_TRUE(StateOf(via_driver[0]) == StateOf(via_pipeline));
 }
 
@@ -288,7 +288,7 @@ TEST(ParallelPipeline, HeavyHittersThreadedQueryAgreement) {
 
 TEST(ParallelPipeline, DestructorDrainsWithoutFlush) {
   // Sealed-but-unapplied batches drain on destruction; staged partials do
-  // not (the documented StreamDriver-style contract). With batch_size 1
+  // not (the documented ~ParallelPipeline contract). With batch_size 1
   // nothing ever stays staged, so all updates land.
   auto make = [] { return sketch::CountSketch(5, 16, 66); };
   sketch::CountSketch solo = make();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <vector>
 
 #include "src/core/l0_sampler.h"
@@ -12,7 +13,7 @@
 #include "src/norm/l0_norm.h"
 #include "src/stream/exact_vector.h"
 #include "src/stream/generators.h"
-#include "src/stream/stream_driver.h"
+#include "src/util/random.h"
 #include "src/util/serialize.h"
 
 namespace lps::stream {
@@ -166,6 +167,29 @@ TEST(Generators, DuplicateStreamZeroExtrasIsPermutation) {
   for (uint64_t i = 0; i < 50; ++i) EXPECT_EQ(sorted[i], i);
 }
 
+// DuplicateStream places its extras without shifting the array; the
+// result must equal inserting them one at a time at the drawn positions.
+TEST(Generators, DuplicateStreamMatchesSequentialInsertion) {
+  for (uint64_t n : {1u, 2u, 17u, 512u}) {
+    for (uint64_t extras : {0u, 1u, 3u, 64u, 1000u}) {
+      const uint64_t seed = 31 * n + extras;
+      Rng rng(seed);
+      LetterStream want(n);
+      std::iota(want.begin(), want.end(), 0);
+      for (size_t i = want.size(); i > 1; --i) {
+        std::swap(want[i - 1], want[rng.Below(i)]);
+      }
+      for (uint64_t e = 0; e < extras; ++e) {
+        const uint64_t letter = rng.Below(n);
+        const uint64_t pos = rng.Below(want.size() + 1);
+        want.insert(want.begin() + static_cast<int64_t>(pos), letter);
+      }
+      EXPECT_EQ(DuplicateStream(n, extras, seed), want)
+          << "n " << n << " extras " << extras;
+    }
+  }
+}
+
 TEST(Generators, ShortStreamWithDuplicatesCounts) {
   const uint64_t n = 200, s = 30, dups = 5;
   const auto letters = ShortStreamWithDuplicates(n, s, dups, 9);
@@ -192,8 +216,8 @@ TEST(Generators, DuplicatesReductionVector) {
   EXPECT_EQ(x.Total(), static_cast<int64_t>(letters.size()) - 8);
 }
 
-// ---- StreamDriver: chunking, Push/Flush, and end-to-end equivalence of
-// ---- the batched ingestion path with per-update processing.
+// ---- Batched ingestion: UpdateBatch over chunks of a stream lands in
+// ---- the same state as per-update processing.
 
 template <typename Sink>
 std::vector<uint64_t> CounterWords(const Sink& sink) {
@@ -202,75 +226,18 @@ std::vector<uint64_t> CounterWords(const Sink& sink) {
   return writer.words();
 }
 
-TEST(StreamDriver, ChunksStreamIntoBatches) {
-  StreamDriver driver(8);
-  std::vector<size_t> seen_counts;
-  UpdateStream seen;
-  driver.AddSink("recorder", [&](const Update* updates, size_t count) {
-    seen_counts.push_back(count);
-    seen.insert(seen.end(), updates, updates + count);
-  });
-  UpdateStream stream;
-  for (uint64_t t = 0; t < 27; ++t) {
-    stream.push_back({t, static_cast<int64_t>(t + 1)});
-  }
-  EXPECT_EQ(driver.Drive(stream), 27u);
-  EXPECT_EQ(seen_counts, (std::vector<size_t>{8, 8, 8, 3}));
-  EXPECT_EQ(driver.updates_driven(), 27u);
-  EXPECT_EQ(driver.batches_driven(), 4u);
-  ASSERT_EQ(seen.size(), stream.size());
-  for (size_t t = 0; t < stream.size(); ++t) {
-    EXPECT_EQ(seen[t].index, stream[t].index);
-    EXPECT_EQ(seen[t].delta, stream[t].delta);
-  }
-}
-
-TEST(StreamDriver, EveryRegisteredSinkSeesTheWholeStream) {
-  StreamDriver driver(4);
-  size_t total_a = 0, total_b = 0;
-  driver.AddSink("a", [&](const Update*, size_t c) { total_a += c; })
-      .AddSink("b", [&](const Update*, size_t c) { total_b += c; });
-  EXPECT_EQ(driver.sink_count(), 2u);
-  EXPECT_EQ(driver.sink_name(0), "a");
-  driver.Drive(UniformTurnstile(64, 100, 10, 5));
-  EXPECT_EQ(total_a, 100u);
-  EXPECT_EQ(total_b, 100u);
-}
-
-TEST(StreamDriver, EmptyStreamDrivesNothing) {
-  StreamDriver driver;
-  size_t calls = 0;
-  driver.AddSink("counter", [&](const Update*, size_t) { ++calls; });
-  EXPECT_EQ(driver.Drive(UpdateStream{}), 0u);
-  EXPECT_EQ(calls, 0u);
-  EXPECT_EQ(driver.batches_driven(), 0u);
-}
-
-TEST(StreamDriver, PushFlushMatchesDrive) {
-  const auto stream = UniformTurnstile(128, 333, 50, 6);
-  UpdateStream via_drive, via_push;
-  StreamDriver a(16), b(16);
-  a.AddSink("rec", [&](const Update* u, size_t c) {
-    via_drive.insert(via_drive.end(), u, u + c);
-  });
-  b.AddSink("rec", [&](const Update* u, size_t c) {
-    via_push.insert(via_push.end(), u, u + c);
-  });
-  a.Drive(stream);
-  for (const auto& u : stream) b.Push(u);
-  b.Flush();
-  b.Flush();  // second flush is a no-op
-  ASSERT_EQ(via_push.size(), via_drive.size());
-  for (size_t t = 0; t < via_push.size(); ++t) {
-    EXPECT_EQ(via_push[t].index, via_drive[t].index);
-    EXPECT_EQ(via_push[t].delta, via_drive[t].delta);
+/// Feeds `stream` to `sink` through UpdateBatch in `chunk`-sized batches.
+template <typename Sink>
+void IngestInChunks(Sink* sink, const UpdateStream& stream, size_t chunk) {
+  for (size_t i = 0; i < stream.size(); i += chunk) {
+    sink->UpdateBatch(stream.data() + i, std::min(chunk, stream.size() - i));
   }
 }
 
 // The full sampler stack driven in batches must land in bit-identical
 // state to per-update processing — strict-turnstile and general streams,
-// driver batch sizes that exercise partial and single-element chunks.
-TEST(StreamDriver, LpSamplerStateMatchesPerUpdatePath) {
+// batch sizes that exercise partial and single-element chunks.
+TEST(BatchedIngest, LpSamplerStateMatchesPerUpdatePath) {
   ScopedScalarKernels pin_scalar;  // LpSampler embeds an LpNormEstimator
   const auto general = UniformTurnstile(256, 1500, 100, 41);
   const auto strict = PlantedHeavyHitters(256, 4, 200, 100, false, 42);
@@ -286,8 +253,7 @@ TEST(StreamDriver, LpSamplerStateMatchesPerUpdatePath) {
       for (const auto& u : stream) {
         scalar.Update(u.index, static_cast<double>(u.delta));
       }
-      StreamDriver driver(batch_size);
-      driver.Add("lp", &batched).Drive(stream);
+      IngestInChunks(&batched, stream, batch_size);
       EXPECT_EQ(CounterWords(scalar), CounterWords(batched));
       const auto a = scalar.Sample();
       const auto b = batched.Sample();
@@ -300,17 +266,16 @@ TEST(StreamDriver, LpSamplerStateMatchesPerUpdatePath) {
   }
 }
 
-TEST(StreamDriver, L0SamplerStateMatchesPerUpdatePath) {
+TEST(BatchedIngest, L0SamplerStateMatchesPerUpdatePath) {
   const auto stream = InsertDeleteChurn(512, 200, 40, 43);
   lps::core::L0Sampler scalar({512, 0.2, 0, 77, false});
   lps::core::L0Sampler batched({512, 0.2, 0, 77, false});
   for (const auto& u : stream) scalar.Update(u.index, u.delta);
-  StreamDriver driver(64);
-  driver.Add("l0", &batched).Drive(stream);
+  IngestInChunks(&batched, stream, 64);
   EXPECT_EQ(CounterWords(scalar), CounterWords(batched));
 }
 
-TEST(StreamDriver, HeavyHittersAndL0EstimatorMatchPerUpdatePath) {
+TEST(BatchedIngest, HeavyHittersAndL0EstimatorMatchPerUpdatePath) {
   ScopedScalarKernels pin_scalar;  // CsHeavyHitters embeds an LpNormEstimator
   const auto stream = UniformTurnstile(512, 2000, 100, 44);
   lps::heavy::CsHeavyHitters::Params params;
@@ -325,8 +290,8 @@ TEST(StreamDriver, HeavyHittersAndL0EstimatorMatchPerUpdatePath) {
     scalar_hh.Update(u.index, static_cast<double>(u.delta));
     scalar_l0.Update(u.index, u.delta);
   }
-  StreamDriver driver(100);
-  driver.Add("hh", &batched_hh).Add("l0", &batched_l0).Drive(stream);
+  IngestInChunks(&batched_hh, stream, 100);
+  IngestInChunks(&batched_l0, stream, 100);
   EXPECT_EQ(CounterWords(scalar_hh), CounterWords(batched_hh));
   EXPECT_EQ(CounterWords(scalar_l0), CounterWords(batched_l0));
   EXPECT_EQ(scalar_hh.Query(), batched_hh.Query());

@@ -22,7 +22,7 @@
 //   lps_cli save duplicates <delta> <seed> <file>           < trace
 //   lps_cli load <file>                        restore state and query it
 //   lps_cli merge <out> <in1> <in2> [in...]    add saved states (linearity)
-//   lps_cli version                            dispatched kernel + io backend
+//   lps_cli version                            dispatched kernel backend
 //
 // save writes the full LinearSketch state (versioned header, params,
 // seeds, counters); load reconstructs without any out-of-band information
@@ -52,6 +52,9 @@
 // comes from stdin. Text and binary traces are auto-detected. A malformed
 // record is counted, skipped and noted on stderr; a trace without its
 // "n <size>" header is the only input error (exit 1).
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -93,9 +96,8 @@ int Usage() {
 }
 
 /// Runtime info line: which SIMD kernel backend this process dispatched
-/// (and the full set the binary + host could run) plus the file-read
-/// backend --from resolves to — the quick way to see what LPS_KERNELS
-/// and LPS_IO resolved to.
+/// (and the full set the binary + host could run) — the quick way to see
+/// what LPS_KERNELS resolved to.
 int CmdVersion() {
   std::printf("lps_cli — Lp sampler library (JST11)\n");
   std::printf("kernel backend: %s (available:",
@@ -104,7 +106,6 @@ int CmdVersion() {
     std::printf(" %s", lps::kernels::BackendName(backend));
   }
   std::printf(")\n");
-  std::printf("io backend: %s\n", lps::io::IoBackendName());
   return 0;
 }
 
@@ -265,14 +266,57 @@ bool ReportFeed(const lps::Result<lps::io::FeedStats>& stats) {
   return true;
 }
 
+/// Parses a `gen` number in [lo, hi]: decimal digits only — no sign, no
+/// space, no trailing garbage — so "-5" cannot wrap to 2^64 - 5 and
+/// "0.5" cannot truncate to 0. On failure prints why and returns false
+/// (the caller exits 2), instead of letting a generator's CHECK abort.
+bool ParseGenNumber(const char* what, const char* text, uint64_t lo,
+                    uint64_t hi, uint64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+      errno == ERANGE || value < lo || value > hi) {
+    std::fprintf(stderr, "gen: %s wants an integer in [%llu, %llu], got '%s'\n",
+                 what, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi), text);
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 int CmdGen(int argc, char** argv) {
   const bool binary = TakeBoolFlag(&argc, argv, "--binary");
   if (argc != 6) return Usage();
   const std::string kind = argv[2];
-  const uint64_t n = std::strtoull(argv[3], nullptr, 10);
-  const uint64_t arg = std::strtoull(argv[4], nullptr, 10);
-  const uint64_t seed = std::strtoull(argv[5], nullptr, 10);
-  if (n == 0) return Usage();
+  // Every generator materializes its stream, and all but turnstile an
+  // n-entry table too: the caps make a typo a usage error, not an
+  // allocation failure. <arg> is bounded by its generator's precondition.
+  constexpr uint64_t kMaxItems = uint64_t{1} << 26;
+  uint64_t n_max = kMaxItems, arg_min = 0, arg_max = kMaxItems;
+  const char* arg_name = nullptr;
+  if (kind == "turnstile") {
+    n_max = uint64_t{1} << 62;
+    arg_name = "<#updates>";
+  } else if (kind == "sparse") {
+    arg_name = "<#nonzero>";
+  } else if (kind == "zipf") {
+    arg_min = 1;
+    arg_max = uint64_t{1} << 53;  // weights round exactly in a double
+    arg_name = "<scale>";
+  } else if (kind == "duplicates") {
+    arg_name = "<extras>";
+  } else {
+    return Usage();
+  }
+  uint64_t n = 0, arg = 0, seed = 0;
+  if (!ParseGenNumber("<n>", argv[3], 1, n_max, &n)) return 2;
+  if (kind == "sparse") arg_max = n;
+  if (!ParseGenNumber(arg_name, argv[4], arg_min, arg_max, &arg) ||
+      !ParseGenNumber("<seed>", argv[5], 0, UINT64_MAX, &seed)) {
+    return 2;
+  }
   lps::stream::UpdateStream updates;
   if (kind == "turnstile") {
     updates = lps::stream::UniformTurnstile(n, arg, 100, seed);
@@ -281,7 +325,7 @@ int CmdGen(int argc, char** argv) {
   } else if (kind == "zipf") {
     updates = lps::stream::ZipfianVector(n, 1.0, static_cast<int64_t>(arg),
                                          true, seed);
-  } else if (kind == "duplicates") {
+  } else {  // duplicates
     if (!binary) {
       lps::io::WriteLetterTrace(
           std::cout, n, lps::stream::DuplicateStream(n, arg, seed));
@@ -292,8 +336,6 @@ int CmdGen(int argc, char** argv) {
     for (const uint64_t letter : lps::stream::DuplicateStream(n, arg, seed)) {
       updates.push_back({letter, 1});
     }
-  } else {
-    return Usage();
   }
   if (binary) {
     std::string out;
