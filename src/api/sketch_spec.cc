@@ -438,6 +438,14 @@ void SerializeSpec(const SketchSpec& spec, BitWriter* writer) {
   writer->WriteU64(spec.seed);
 }
 
+bool SameSpec(const SketchSpec& a, const SketchSpec& b) {
+  BitWriter wa;
+  BitWriter wb;
+  SerializeSpec(a, &wa);
+  SerializeSpec(b, &wb);
+  return wa.bit_count() == wb.bit_count() && wa.words() == wb.words();
+}
+
 SketchSpec DeserializeSpec(BitReader* reader) {
   SketchSpec spec;
   spec.kind = static_cast<SketchKind>(reader->ReadBits(8));

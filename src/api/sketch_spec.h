@@ -134,4 +134,10 @@ Result<SketchKind> SketchKindFromName(const std::string& name);
 void SerializeSpec(const SketchSpec& spec, BitWriter* writer);
 SketchSpec DeserializeSpec(BitReader* reader);
 
+/// True iff the two specs' SerializeSpec encodings are bit-identical —
+/// the check every fold of outside state into a live stream (the
+/// registry's epoch fold, the aggregator's combine) runs first, so a
+/// mismatched spec is an error instead of a Merge parameter CHECK.
+bool SameSpec(const SketchSpec& a, const SketchSpec& b);
+
 }  // namespace lps

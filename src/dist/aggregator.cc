@@ -23,14 +23,6 @@ std::string LaneKey(const server::EpochBlob& blob) {
          std::to_string(blob.worker_id.size()) + ':' + blob.worker_id;
 }
 
-bool SameSpec(const SketchSpec& a, const SketchSpec& b) {
-  BitWriter wa;
-  BitWriter wb;
-  SerializeSpec(a, &wa);
-  SerializeSpec(b, &wb);
-  return wa.bit_count() == wb.bit_count() && wa.words() == wb.words();
-}
-
 uint64_t NowNs() {
   return uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
                       std::chrono::steady_clock::now().time_since_epoch())

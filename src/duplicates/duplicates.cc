@@ -50,31 +50,20 @@ DuplicateFinder::DuplicateFinder(Params params)
   FeedInitialMinusOnes(params.n, &sampler_);
 }
 
-void DuplicateFinder::Merge(const LinearSketch& other) {
+void DuplicateFinder::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const DuplicateFinder*>(&other);
   LPS_CHECK(o != nullptr);
   LPS_CHECK(o->params_.n == params_.n && o->params_.delta == params_.delta &&
             o->params_.repetitions == params_.repetitions &&
             o->params_.seed == params_.seed);
-  sampler_.Merge(o->sampler_);
-  // Both replicas fed the (i, -1) initialization at construction; cancel
-  // the second copy so the merged vector is init + lettersA + lettersB.
-  const stream::UpdateStream cancel = ConstantStream(params_.n, +1);
-  sampler_.UpdateBatch(cancel.data(), cancel.size());
-}
-
-void DuplicateFinder::MergeNegated(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const DuplicateFinder*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->params_.n == params_.n && o->params_.delta == params_.delta &&
-            o->params_.repetitions == params_.repetitions &&
-            o->params_.seed == params_.seed);
-  sampler_.MergeNegated(o->sampler_);
-  // The two (i, -1) initialization feeds cancel in the subtraction, so
-  // re-feed one copy: the difference is again init + (lettersA - lettersB)
-  // — a well-formed finder over the subtracted letter multiset (for a
-  // window, exactly the letters the window saw).
-  FeedInitialMinusOnes(params_.n, &sampler_);
+  sampler_.MergeSigned(o->sampler_, sign);
+  // Both replicas fed the (i, -1) initialization at construction: a merge
+  // holds two copies and a subtraction none, so adding `sign` to every
+  // coordinate leaves exactly one — init + (lettersA +- lettersB), a
+  // well-formed finder over the combined letter multiset (for a window,
+  // exactly the letters the window saw).
+  const stream::UpdateStream fix = ConstantStream(params_.n, sign);
+  sampler_.UpdateBatch(fix.data(), fix.size());
 }
 
 void DuplicateFinder::Serialize(BitWriter* writer) const {
@@ -145,34 +134,20 @@ void SparseDuplicateFinder::UpdateBatch(const stream::Update* updates,
   sampler_.UpdateBatch(updates, count);
 }
 
-void SparseDuplicateFinder::Merge(const LinearSketch& other) {
+void SparseDuplicateFinder::MergeSigned(const LinearSketch& other,
+                                        int sign) {
   const auto* o = dynamic_cast<const SparseDuplicateFinder*>(&other);
   LPS_CHECK(o != nullptr);
   LPS_CHECK(o->params_.n == params_.n && o->params_.s == params_.s &&
             o->params_.delta == params_.delta &&
             o->params_.repetitions == params_.repetitions &&
             o->params_.seed == params_.seed);
-  recovery_.Merge(o->recovery_);
-  sampler_.Merge(o->sampler_);
-  // Cancel the duplicated (i, -1) initialization (see DuplicateFinder).
-  const stream::UpdateStream cancel = ConstantStream(params_.n, +1);
-  recovery_.UpdateBatch(cancel.data(), cancel.size());
-  sampler_.UpdateBatch(cancel.data(), cancel.size());
-}
-
-void SparseDuplicateFinder::MergeNegated(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const SparseDuplicateFinder*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->params_.n == params_.n && o->params_.s == params_.s &&
-            o->params_.delta == params_.delta &&
-            o->params_.repetitions == params_.repetitions &&
-            o->params_.seed == params_.seed);
-  recovery_.MergeNegated(o->recovery_);
-  sampler_.MergeNegated(o->sampler_);
-  // The initialization feeds cancelled in the subtraction; re-feed one
-  // copy (see DuplicateFinder::MergeNegated).
-  FeedInitialMinusOnes(params_.n, &recovery_);
-  FeedInitialMinusOnes(params_.n, &sampler_);
+  recovery_.MergeSigned(o->recovery_, sign);
+  sampler_.MergeSigned(o->sampler_, sign);
+  // Leave exactly one (i, -1) initialization (see DuplicateFinder).
+  const stream::UpdateStream fix = ConstantStream(params_.n, sign);
+  recovery_.UpdateBatch(fix.data(), fix.size());
+  sampler_.UpdateBatch(fix.data(), fix.size());
 }
 
 void SparseDuplicateFinder::Serialize(BitWriter* writer) const {

@@ -78,8 +78,7 @@ class DuplicateFinder : public LinearSketch {
   // cancels the duplicated initialization, so the merged sketch holds
   // exactly init + lettersA + lettersB (up to floating-point
   // reassociation in the scaled counters).
-  void Merge(const LinearSketch& other) override;
-  void MergeNegated(const LinearSketch& other) override;
+  void MergeSigned(const LinearSketch& other, int sign) override;
   void Serialize(BitWriter* writer) const override;
   void Deserialize(BitReader* reader) override;
   void Reset() override;
@@ -125,8 +124,7 @@ class SparseDuplicateFinder : public LinearSketch {
   // LinearSketch contract; Merge cancels the duplicated (i, -1)
   // initialization exactly as in DuplicateFinder (field-exact on the
   // recovery side).
-  void Merge(const LinearSketch& other) override;
-  void MergeNegated(const LinearSketch& other) override;
+  void MergeSigned(const LinearSketch& other, int sign) override;
   void Serialize(BitWriter* writer) const override;
   void Deserialize(BitReader* reader) override;
   void Reset() override;

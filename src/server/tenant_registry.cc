@@ -1,5 +1,6 @@
 #include "src/server/tenant_registry.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <utility>
@@ -179,12 +180,7 @@ Status TenantRegistry::FoldEpoch(const std::string& tenant,
   // The entry may predate this worker (created by a CREATE request or
   // another worker's first epoch): its spec must match the epoch's
   // byte-for-byte, else Merge would CHECK on mismatched parameters.
-  BitWriter ours;
-  BitWriter theirs;
-  SerializeSpec(entry->topology->config().spec, &ours);
-  SerializeSpec(config.spec, &theirs);
-  if (ours.bit_count() != theirs.bit_count() ||
-      ours.words() != theirs.words()) {
+  if (!SameSpec(entry->topology->config().spec, config.spec)) {
     return Status::InvalidArgument("epoch spec does not match stream " +
                                    tenant + "/" + key);
   }
@@ -465,11 +461,17 @@ ServerStats TenantRegistry::Stats() const {
     }
     TenantPersistStats tenant;
     // Recover the wire names from the map key's length-prefixed form:
-    // "<tenant_len>:<tenant><key>".
+    // "<tenant_len>:<tenant><key>". The store is outside input: skip a
+    // key whose prefix is not a length that fits.
     const size_t colon = map_key.find(':');
     if (colon == std::string::npos) continue;
-    const size_t tenant_len = size_t(std::stoull(map_key.substr(0, colon)));
-    if (colon + 1 + tenant_len > map_key.size()) continue;
+    size_t tenant_len = 0;
+    const char* digits = map_key.data();
+    const auto parsed = std::from_chars(digits, digits + colon, tenant_len);
+    if (parsed.ec != std::errc() || parsed.ptr != digits + colon ||
+        tenant_len > map_key.size() - colon - 1) {
+      continue;
+    }
     tenant.name = map_key.substr(colon + 1, tenant_len) + "/" +
                   map_key.substr(colon + 1 + tenant_len);
     tenant.resident = false;

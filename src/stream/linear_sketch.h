@@ -12,9 +12,11 @@
 //
 //   - Update / UpdateBatch   ingest stream updates (batch path is the
 //                            fast path; Update delegates to a batch of 1);
-//   - Merge                  coordinate-wise addition of a replica built
-//                            with identical parameters and seeds —
-//                            CHECK-fails on any mismatch;
+//   - Merge / MergeNegated   coordinate-wise addition / subtraction of a
+//                            replica built with identical parameters and
+//                            seeds — CHECK-fails on any mismatch. Both
+//                            forward to one virtual, MergeSigned, so each
+//                            kind writes its merge once;
 //   - Serialize/Deserialize  *full* reconstructible state: a versioned
 //                            header, the construction parameters and seed,
 //                            then the counters. Deserialize reconfigures
@@ -94,22 +96,33 @@ class LinearSketch {
   /// Coordinate-wise addition of `other`'s state into this one. `other`
   /// must be the same concrete type, constructed with identical parameters
   /// and seeds (a shard replica); any mismatch CHECK-fails.
-  virtual void Merge(const LinearSketch& other) = 0;
+  void Merge(const LinearSketch& other) { MergeSigned(other, +1); }
 
   /// Coordinate-wise SUBTRACTION: folds -1 x `other`'s counters into this
-  /// one, under the same same-type/same-params/same-seeds contract as
-  /// Merge (any mismatch CHECK-fails). Linearity gives subtraction for
-  /// free, and subtraction is what makes sliding windows cheap: if this
-  /// sketch holds the prefix stream x[0..now) and `other` a checkpointed
-  /// prefix x[0..t), then after MergeNegated(other) this sketch holds
-  /// exactly the window x[t..now) — without re-ingesting a single update
-  /// (stream::WindowManager builds on this). Exactness matches Merge's
-  /// taxonomy: bit-exact for integer-valued-double and GF(2^61-1) counter
-  /// families, FP-reassociation-exact for genuinely real-scaled ones. The
-  /// duplicates finders cancel their duplicated (i,-1) initialization and
-  /// re-feed one copy, so the difference is again a well-formed finder
-  /// over the subtracted letter multiset.
-  virtual void MergeNegated(const LinearSketch& other) = 0;
+  /// one, under Merge's same-type/same-params/same-seeds contract.
+  /// Linearity gives subtraction for free, and subtraction is what makes
+  /// sliding windows cheap: if this sketch holds the prefix stream
+  /// x[0..now) and `other` a checkpointed prefix x[0..t), then after
+  /// MergeNegated(other) this sketch holds exactly the window x[t..now)
+  /// without re-ingesting a single update (stream::WindowManager builds
+  /// on this).
+  void MergeNegated(const LinearSketch& other) { MergeSigned(other, -1); }
+
+  /// The one merge every kind implements: this += sign x other, for sign
+  /// +1 (Merge) or -1 (MergeNegated), under Merge's contract. Each kind
+  /// checks its parameters once and runs one counter loop for both
+  /// signs: real counters add sign * c (multiplying by +-1.0 is exact,
+  /// and IEEE a + (-b) == a - b, so both signs are bit-identical to a
+  /// plain += / -= loop); GF(2^61-1) counters use gf61::AddSigned;
+  /// composites pass `sign` to their members. Exactness matches the
+  /// counter family: bit-exact for integer-valued-double and GF(2^61-1)
+  /// counters, FP-reassociation-exact for genuinely real-scaled ones. The
+  /// duplicates finders, whose replicas each carry the (i, -1)
+  /// initialization, then add `sign` to every coordinate: a merge holds
+  /// one initialization too many and a subtraction cancels both, so
+  /// either way the result is again a well-formed finder over the summed
+  /// or subtracted letter multiset.
+  virtual void MergeSigned(const LinearSketch& other, int sign) = 0;
 
   /// Full reconstructible state: versioned header, parameters, seed,
   /// counters.

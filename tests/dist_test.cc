@@ -594,6 +594,40 @@ TEST(DistHostile, LyingEpochsAreRejectedNotFatal) {
   root.Stop();
 }
 
+TEST(DistHostile, EpochOfAnotherSpecThanItsStreamIsRejected) {
+  // The epoch's config and state agree with each other (both seed 999),
+  // so it decodes; but its stream already folds seed-7 epochs. The spec
+  // check rejects it, at the root (registry fold) and at a combiner
+  // (pending accumulator), before a Merge could CHECK on the seeds.
+  const auto stream = PlantedStream(1024);
+  Node root = StartRoot();
+  Node combiner = StartCombiner(root.port(), "c0", 501);
+  for (Node* node : {&root, &combiner}) {
+    Client client = MustConnect(node->port());
+    auto first = client.ShipEpoch(PlantedDelta(stream, 0, 512, 7, 0));
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EpochBlob blob = PlantedDelta(stream, 512, 1024, 7, 1);
+    blob.config.spec.seed = 999;
+    auto foreign = MakeSketch(blob.config.spec);
+    foreign->UpdateBatch(stream.data() + 512, 512);
+    const State state = Serialized(*foreign);
+    blob.state_words = state.words;
+    blob.state_bits = state.bits;
+    EXPECT_FALSE(client.ShipEpoch(blob).ok());
+    // Only the config names seed 999: a combiner decodes the state
+    // against its stream's spec, so the spec check alone rejects this.
+    blob = PlantedDelta(stream, 512, 1024, 7, 1);
+    blob.config.spec.seed = 999;
+    EXPECT_FALSE(client.ShipEpoch(blob).ok());
+    // The rejected epochs did not advance the lane: sequence 1 still folds.
+    auto valid = client.ShipEpoch(PlantedDelta(stream, 512, 1024, 7, 1));
+    ASSERT_TRUE(valid.ok()) << valid.status().ToString();
+    EXPECT_TRUE(valid->applied);
+  }
+  combiner.Stop();
+  root.Stop();
+}
+
 // -------------------------------------------------- forked processes --
 
 // ThreadSanitizer cannot follow fork() into children that keep running

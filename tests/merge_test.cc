@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/apps/moment_estimation.h"
+#include "src/core/ako_sampler.h"
 #include "src/core/fis_l0_sampler.h"
 #include "src/core/l0_sampler.h"
 #include "src/core/lp_sampler.h"
@@ -296,6 +298,59 @@ TEST(MergeEquivalence, LpSamplerSampleAgreement) {
   }
 }
 
+TEST(MergeEquivalence, AkoSamplerSampleAgreement) {
+  const auto stream = GeneralStream();
+  auto make = [] {
+    core::LpSamplerParams params;
+    params.n = kN;
+    params.p = 1.0;
+    params.eps = 0.25;
+    params.repetitions = 8;
+    params.seed = 37;
+    return core::AkoSampler(params);
+  };
+  auto solo = make();
+  solo.UpdateBatch(stream.data(), stream.size());
+  const auto want = solo.Sample();
+  ASSERT_TRUE(want.ok());
+  for (int k : {2, 3, 8}) {
+    auto merged = ShardedIngest<core::AkoSampler>(
+        make, stream, k, ParallelPipeline::Partition::kRoundRobin);
+    const auto got = merged.Sample();
+    ASSERT_EQ(want.ok(), got.ok());
+    if (want.ok()) {
+      EXPECT_EQ(want.value().index, got.value().index);
+      EXPECT_NEAR(want.value().estimate, got.value().estimate,
+                  1e-6 * std::abs(want.value().estimate));
+    }
+  }
+}
+
+TEST(MergeEquivalence, MomentEstimatorEstimateAgreement) {
+  const auto stream = GeneralStream();
+  auto make = [] {
+    apps::MomentEstimator::Params params;
+    params.n = kN;
+    params.p = 3.0;
+    params.samples = 6;
+    params.seed = 51;
+    return apps::MomentEstimator(params);
+  };
+  auto solo = make();
+  solo.UpdateBatch(stream.data(), stream.size());
+  const auto want = solo.Estimate();
+  ASSERT_TRUE(want.ok());
+  for (int k : {2, 8}) {
+    auto merged = ShardedIngest<apps::MomentEstimator>(
+        make, stream, k, ParallelPipeline::Partition::kByIndex);
+    const auto got = merged.Estimate();
+    ASSERT_EQ(want.ok(), got.ok());
+    if (want.ok()) {
+      EXPECT_NEAR(want.value(), got.value(), 1e-6 * std::abs(want.value()));
+    }
+  }
+}
+
 TEST(MergeEquivalence, CsHeavyHittersGeneralQueryAgreement) {
   const auto stream = stream::PlantedHeavyHitters(kN, 4, 2000, 40, true, 38);
   auto make = [] {
@@ -337,6 +392,37 @@ TEST(MergeEquivalence, DuplicateFinderFindAgreement) {
     ASSERT_EQ(want.ok(), got.ok());
     if (want.ok()) {
       EXPECT_EQ(want.value(), got.value());
+    }
+  }
+}
+
+TEST(MergeEquivalence, SparseDuplicateFinderFindAgreement) {
+  // Length n - s letter streams; 3 duplicates decide by exact recovery,
+  // 120 overflow its budget and fall back to the sampler. Each replica
+  // carries the (i, -1) initialization and Merge cancels the extra copies.
+  const uint64_t n = 512, s = 20;
+  for (uint64_t dups : {3, 120}) {
+    UpdateStream stream;
+    for (uint64_t l : stream::ShortStreamWithDuplicates(n, s, dups, 52)) {
+      stream.push_back({l, +1});
+    }
+    auto make = [n, s] {
+      return duplicates::SparseDuplicateFinder(
+          duplicates::SparseDuplicateFinder::Params{n, s, 0.2, 8, 53});
+    };
+    auto solo = make();
+    solo.UpdateBatch(stream.data(), stream.size());
+    const auto want = solo.Find();
+    ASSERT_EQ(want.kind, duplicates::SparseDuplicateFinder::Kind::kDuplicate);
+    ASSERT_EQ(want.exact, dups == 3);
+    for (int k : {2, 3}) {
+      auto merged = ShardedIngest<duplicates::SparseDuplicateFinder>(
+          make, stream, k, ParallelPipeline::Partition::kByIndex);
+      const auto got = merged.Find();
+      EXPECT_EQ(static_cast<int>(want.kind), static_cast<int>(got.kind))
+          << "dups=" << dups << " k=" << k;
+      EXPECT_EQ(want.duplicate, got.duplicate);
+      EXPECT_EQ(want.exact, got.exact);
     }
   }
 }

@@ -609,6 +609,28 @@ TEST(ServerPersist, IdleTenantsEvictAndRehydrateLazily) {
 
 #ifndef LPS_UNDER_TSAN
 
+TEST(ServerPersist, UnparseableStoreKeysAreSkipped) {
+  // Snapshot-kind records (tag 1) under keys that are not the registry's
+  // "<tenant_len>:<tenant><key>" form: a non-numeric length, a length
+  // past the key, and one whose sum with the offset wraps. Boot recovery
+  // and STATS skip them instead of aborting the daemon.
+  const std::string dir = MakeTempDir();
+  auto opened = CheckpointStore::Open(dir);
+  ASSERT_TRUE(opened.ok());
+  CheckpointStore* store = opened.value().get();
+  const uint8_t payload[8] = {};
+  for (const char* key : {"t:ab:c", "t:9:c", "t:18446744073709551615:c"}) {
+    ASSERT_TRUE(store->Append(key, 1, payload, sizeof(payload)).ok());
+  }
+  server::TenantRegistry registry;
+  registry.AttachStore(store, server::TenantRegistry::PersistOptions());
+  EXPECT_EQ(registry.RestoreAll(), 0u);
+  const server::ServerStats stats = registry.Stats();
+  EXPECT_EQ(stats.tenants, 0u);
+  EXPECT_TRUE(stats.per_tenant.empty());
+  RemoveTree(dir);
+}
+
 TEST(ServerPersist, SigkilledDaemonRebootsAnsweringIdentically) {
   const std::string dir = MakeTempDir();
   int ports[2];

@@ -30,6 +30,10 @@
 // loads); merge requires all inputs to come from identically-parameterized
 // structures (shard replicas) and writes their coordinate-wise sum; any
 // other input is an error (exit 2).
+// Every positional number is parsed whole: an integer (seed, gen sizes)
+// is decimal digits only, a real (p, eps, delta, phi) one finite value,
+// and anything else ("1.0x", "42abc", "-5") exits 2 before any input is
+// read.
 // --shards k ingests through the k-shard parallel runtime and merges the
 // replicas before querying — same answers as single-stream ingestion, by
 // linearity. --threads t (t in [1, k]; omit the flag for inline
@@ -59,8 +63,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -266,24 +272,44 @@ bool ReportFeed(const lps::Result<lps::io::FeedStats>& stats) {
   return true;
 }
 
-/// Parses a `gen` number in [lo, hi]: decimal digits only — no sign, no
-/// space, no trailing garbage — so "-5" cannot wrap to 2^64 - 5 and
-/// "0.5" cannot truncate to 0. On failure prints why and returns false
-/// (the caller exits 2), instead of letting a generator's CHECK abort.
-bool ParseGenNumber(const char* what, const char* text, uint64_t lo,
-                    uint64_t hi, uint64_t* out) {
+/// Parses one positional number of `command`, the whole of `text`: an
+/// integer is decimal digits only in [lo, hi] (no sign, so "-5" cannot
+/// wrap to 2^64 - 5, and "0.5" cannot truncate to 0); a real is one
+/// finite strtod value. Trailing garbage ("1.0x", "42abc") fails too. On
+/// failure prints why and returns false (the caller exits 2), instead of
+/// running with a number the user did not type or letting a
+/// constructor's CHECK abort.
+template <typename T>
+bool ParseNumber(const char* command, const char* what, const char* text,
+                 T* out, T lo = std::numeric_limits<T>::lowest(),
+                 T hi = std::numeric_limits<T>::max()) {
+  constexpr bool kInteger = std::is_integral_v<T>;
+  const auto lead = static_cast<unsigned char>(text[0]);
   char* end = nullptr;
   errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
-      errno == ERANGE || value < lo || value > hi) {
-    std::fprintf(stderr, "gen: %s wants an integer in [%llu, %llu], got '%s'\n",
-                 what, static_cast<unsigned long long>(lo),
-                 static_cast<unsigned long long>(hi), text);
-    return false;
+  T value;
+  bool lead_ok;
+  if constexpr (kInteger) {
+    value = std::strtoull(text, &end, 10);
+    lead_ok = std::isdigit(lead);
+  } else {
+    value = std::strtod(text, &end);
+    lead_ok = lead != '\0' && !std::isspace(lead);
   }
-  *out = value;
-  return true;
+  if (lead_ok && *end == '\0' && errno != ERANGE && value >= lo &&
+      value <= hi) {
+    *out = value;
+    return true;
+  }
+  if constexpr (kInteger) {
+    std::fprintf(stderr, "%s: %s wants an integer in [%llu, %llu], got '%s'\n",
+                 command, what, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi), text);
+  } else {
+    std::fprintf(stderr, "%s: %s wants a finite number, got '%s'\n", command,
+                 what, text);
+  }
+  return false;
 }
 
 int CmdGen(int argc, char** argv) {
@@ -311,10 +337,10 @@ int CmdGen(int argc, char** argv) {
     return Usage();
   }
   uint64_t n = 0, arg = 0, seed = 0;
-  if (!ParseGenNumber("<n>", argv[3], 1, n_max, &n)) return 2;
+  if (!ParseNumber("gen", "<n>", argv[3], &n, uint64_t{1}, n_max)) return 2;
   if (kind == "sparse") arg_max = n;
-  if (!ParseGenNumber(arg_name, argv[4], arg_min, arg_max, &arg) ||
-      !ParseGenNumber("<seed>", argv[5], 0, UINT64_MAX, &seed)) {
+  if (!ParseNumber("gen", arg_name, argv[4], &arg, arg_min, arg_max) ||
+      !ParseNumber("gen", "<seed>", argv[5], &seed)) {
     return 2;
   }
   lps::stream::UpdateStream updates;
@@ -348,26 +374,74 @@ int CmdGen(int argc, char** argv) {
 }
 
 // ------------------------------------------------------------ structures --
-// Builders shared by the direct commands and `save`: construct the
-// structure for a command spec, ingest (optionally sharded, optionally
-// async via --from), and hand the merged structure to the caller.
+// Shared by the direct commands and `save`: parse a command's positional
+// numbers into the spec it builds, construct the structure, ingest
+// (optionally sharded, optionally async via --from), and hand the merged
+// structure to the caller.
+
+/// How many positional numbers the spec of `what` (sample, heavy, norm,
+/// duplicates) takes; -1 for any other word.
+int SpecArgCount(const std::string& what) {
+  if (what == "sample") return 4;
+  if (what == "heavy") return 3;
+  if (what == "norm" || what == "duplicates") return 2;
+  return -1;
+}
+
+/// Parses the SpecArgCount(what) positional numbers at `args` into the
+/// spec `what` builds; n comes later, from the trace header. Returns
+/// false after a message when a number is malformed.
+bool ParseSpecArgs(const std::string& what, char** args,
+                   lps::SketchSpec* spec) {
+  const char* command = what.c_str();
+  if (what == "sample") {
+    const bool l0 = std::strcmp(args[0], "L0") == 0;
+    spec->kind = l0 ? lps::SketchKind::kL0Sampler : lps::SketchKind::kLpSampler;
+    double eps = 0;
+    if ((!l0 && !ParseNumber(command, "<p>", args[0], &spec->p)) ||
+        !ParseNumber(command, "<eps>", args[1], &eps) ||
+        !ParseNumber(command, "<delta>", args[2], &spec->delta) ||
+        !ParseNumber(command, "<seed>", args[3], &spec->seed)) {
+      return false;
+    }
+    if (!l0) spec->eps = eps;  // the L0 sampler takes no eps
+    return true;
+  }
+  if (what == "heavy") {
+    spec->kind = lps::SketchKind::kCsHeavyHitters;
+    return ParseNumber(command, "<p>", args[0], &spec->p) &&
+           ParseNumber(command, "<phi>", args[1], &spec->phi) &&
+           ParseNumber(command, "<seed>", args[2], &spec->seed);
+  }
+  if (what == "norm") {
+    // rows == 0 resolves to DefaultRows(n) in MakeSketch.
+    spec->kind = lps::SketchKind::kLpNormEstimator;
+    return ParseNumber(command, "<p>", args[0], &spec->p) &&
+           ParseNumber(command, "<seed>", args[1], &spec->seed);
+  }
+  spec->kind = lps::SketchKind::kDuplicateFinder;
+  return ParseNumber(command, "<delta>", args[0], &spec->delta) &&
+         ParseNumber(command, "<seed>", args[1], &spec->seed);
+}
 
 /// A built answer structure: shared so the whole-stream sketch can stay
 /// owned by the topology that ingested it.
 using Sketch = std::shared_ptr<const lps::LinearSketch>;
 
 /// Builds the stream's lps::Topology — `shards` identical replicas of
-/// `spec` from the MakeSketch registry (the same one CREATE requests and
-/// DeserializeAnySketch use), pipelined when shards > 1 or threads > 0,
-/// windowed with epochs of window.checkpoint updates when a window is
-/// asked — streams the input into it, and returns the whole-stream
-/// sketch, or the materialized trailing window after printing its range
-/// (the start rounds down to a checkpoint boundary).
+/// `spec` over the trace's universe, from the MakeSketch registry (the
+/// same one CREATE requests and DeserializeAnySketch use), pipelined
+/// when shards > 1 or threads > 0, windowed with epochs of
+/// window.checkpoint updates when a window is asked — streams the input
+/// into it, and returns the whole-stream sketch, or the materialized
+/// trailing window after printing its range (the start rounds down to a
+/// checkpoint boundary).
 /// Returns nullptr after a message on a topology or feed error.
 Sketch BuildSharded(StreamInput& in, int shards, int threads,
                     const WindowSpec& window, const lps::SketchSpec& spec) {
   lps::SketchConfig config;
   config.spec = spec;
+  config.spec.n = in.n;
   config.shards = shards;
   config.threads = threads;
   if (window.window > 0) config.window_checkpoint = window.checkpoint;
@@ -405,50 +479,8 @@ Sketch BuildSharded(StreamInput& in, int shards, int threads,
   return std::move(materialized.sketch);
 }
 
-Sketch BuildSampler(StreamInput& in, const char* p_arg, double eps,
-                    double delta, uint64_t seed, int shards, int threads,
-                    const WindowSpec& window) {
-  lps::SketchSpec spec;
+Sketch BuildDuplicates(StreamInput& in, lps::SketchSpec spec) {
   spec.n = in.n;
-  spec.delta = delta;
-  spec.seed = seed;
-  if (std::strcmp(p_arg, "L0") == 0) {
-    spec.kind = lps::SketchKind::kL0Sampler;
-  } else {
-    spec.kind = lps::SketchKind::kLpSampler;
-    spec.p = std::strtod(p_arg, nullptr);
-    spec.eps = eps;
-  }
-  return BuildSharded(in, shards, threads, window, spec);
-}
-
-Sketch BuildHeavy(StreamInput& in, double p, double phi, uint64_t seed,
-                  int shards, int threads, const WindowSpec& window) {
-  lps::SketchSpec spec;
-  spec.kind = lps::SketchKind::kCsHeavyHitters;
-  spec.n = in.n;
-  spec.p = p;
-  spec.phi = phi;
-  spec.seed = seed;
-  return BuildSharded(in, shards, threads, window, spec);
-}
-
-Sketch BuildNorm(StreamInput& in, double p, uint64_t seed, int shards,
-                 int threads, const WindowSpec& window) {
-  lps::SketchSpec spec;
-  spec.kind = lps::SketchKind::kLpNormEstimator;
-  spec.n = in.n;
-  spec.p = p;
-  spec.seed = seed;  // rows == 0 resolves to DefaultRows(n) in MakeSketch
-  return BuildSharded(in, shards, threads, window, spec);
-}
-
-Sketch BuildDuplicates(StreamInput& in, double delta, uint64_t seed) {
-  lps::SketchSpec spec;
-  spec.kind = lps::SketchKind::kDuplicateFinder;
-  spec.n = in.n;
-  spec.delta = delta;
-  spec.seed = seed;
   // MakeSketch CHECK-fails on an invalid spec (delta outside (0, 1));
   // validate first so a typo is an error message, not an abort.
   const lps::Status valid = lps::ValidateSpec(spec);
@@ -527,71 +559,37 @@ std::unique_ptr<lps::LinearSketch> LoadSketch(const char* path) {
 
 // ------------------------------------------------------------- commands --
 
-int CmdSample(int argc, char** argv) {
+/// sample / heavy / norm: the command's sketch over the trace, ingested
+/// through the flags' topology and window, then queried.
+int CmdQuery(int argc, char** argv) {
   int shards = 0, threads = 0;
-  WindowSpec spec;
+  WindowSpec window;
   std::string from;
   if (!TakeTopologyFlags(&argc, argv, &shards, &threads)) return Usage();
-  if (!TakeWindowFlags(&argc, argv, &spec)) return Usage();
+  if (!TakeWindowFlags(&argc, argv, &window)) return Usage();
   if (!TakeFromFlag(&argc, argv, &from)) return Usage();
-  if (argc != 6) return Usage();
+  const std::string what = argv[1];
+  if (argc != 2 + SpecArgCount(what)) return Usage();
+  lps::SketchSpec spec;
+  if (!ParseSpecArgs(what, argv + 2, &spec)) return 2;
   auto in = OpenInput(from);
   if (in == nullptr) return 1;
-  const double eps = std::strtod(argv[3], nullptr);
-  const double delta = std::strtod(argv[4], nullptr);
-  const uint64_t seed = std::strtoull(argv[5], nullptr, 10);
-  auto sampler =
-      BuildSampler(*in, argv[2], eps, delta, seed, shards, threads, spec);
-  if (sampler == nullptr) return 1;
-  return ReportQuery(*sampler);
+  auto sketch = BuildSharded(*in, shards, threads, window, spec);
+  if (sketch == nullptr) return 1;
+  return ReportQuery(*sketch);
 }
 
 int CmdDuplicates(int argc, char** argv) {
   std::string from;
   if (!TakeFromFlag(&argc, argv, &from)) return Usage();
   if (argc != 4) return Usage();
+  lps::SketchSpec spec;
+  if (!ParseSpecArgs("duplicates", argv + 2, &spec)) return 2;
   auto in = OpenInput(from);
   if (in == nullptr) return 1;
-  const double delta = std::strtod(argv[2], nullptr);
-  const uint64_t seed = std::strtoull(argv[3], nullptr, 10);
-  auto finder = BuildDuplicates(*in, delta, seed);
+  auto finder = BuildDuplicates(*in, spec);
   if (finder == nullptr) return 2;
   return ReportQuery(*finder);
-}
-
-int CmdHeavy(int argc, char** argv) {
-  int shards = 0, threads = 0;
-  WindowSpec spec;
-  std::string from;
-  if (!TakeTopologyFlags(&argc, argv, &shards, &threads)) return Usage();
-  if (!TakeWindowFlags(&argc, argv, &spec)) return Usage();
-  if (!TakeFromFlag(&argc, argv, &from)) return Usage();
-  if (argc != 5) return Usage();
-  auto in = OpenInput(from);
-  if (in == nullptr) return 1;
-  auto hh = BuildHeavy(*in, std::strtod(argv[2], nullptr),
-                       std::strtod(argv[3], nullptr),
-                       std::strtoull(argv[4], nullptr, 10), shards, threads,
-                       spec);
-  if (hh == nullptr) return 1;
-  return ReportQuery(*hh);
-}
-
-int CmdNorm(int argc, char** argv) {
-  int shards = 0, threads = 0;
-  WindowSpec spec;
-  std::string from;
-  if (!TakeTopologyFlags(&argc, argv, &shards, &threads)) return Usage();
-  if (!TakeWindowFlags(&argc, argv, &spec)) return Usage();
-  if (!TakeFromFlag(&argc, argv, &from)) return Usage();
-  if (argc != 4) return Usage();
-  auto in = OpenInput(from);
-  if (in == nullptr) return 1;
-  auto est = BuildNorm(*in, std::strtod(argv[2], nullptr),
-                       std::strtoull(argv[3], nullptr, 10), shards, threads,
-                       spec);
-  if (est == nullptr) return 1;
-  return ReportQuery(*est);
 }
 
 int CmdStats(int argc, char** argv) {
@@ -620,28 +618,17 @@ int CmdSave(int argc, char** argv) {
   if (!TakeFromFlag(&argc, argv, &from)) return Usage();
   if (argc < 4) return Usage();
   const std::string what = argv[2];
+  const int count = SpecArgCount(what);
+  if (count < 0 || argc != 4 + count) return Usage();
   const char* path = argv[argc - 1];
+  lps::SketchSpec spec;
+  if (!ParseSpecArgs(what, argv + 3, &spec)) return 2;
   auto in = OpenInput(from);
   if (in == nullptr) return 1;
-  Sketch sketch;
-  const WindowSpec whole;  // save persists the whole-stream sketch
-  if (what == "sample" && argc == 8) {
-    sketch = BuildSampler(*in, argv[3], std::strtod(argv[4], nullptr),
-                          std::strtod(argv[5], nullptr),
-                          std::strtoull(argv[6], nullptr, 10), 1, 0, whole);
-  } else if (what == "heavy" && argc == 7) {
-    sketch = BuildHeavy(*in, std::strtod(argv[3], nullptr),
-                        std::strtod(argv[4], nullptr),
-                        std::strtoull(argv[5], nullptr, 10), 1, 0, whole);
-  } else if (what == "norm" && argc == 6) {
-    sketch = BuildNorm(*in, std::strtod(argv[3], nullptr),
-                       std::strtoull(argv[4], nullptr, 10), 1, 0, whole);
-  } else if (what == "duplicates" && argc == 6) {
-    sketch = BuildDuplicates(*in, std::strtod(argv[3], nullptr),
-                             std::strtoull(argv[4], nullptr, 10));
-  } else {
-    return Usage();
-  }
+  // save persists the whole-stream sketch, ingested inline.
+  const Sketch sketch = what == "duplicates"
+                            ? BuildDuplicates(*in, spec)
+                            : BuildSharded(*in, 1, 0, WindowSpec(), spec);
   if (sketch == nullptr) return 2;
   return SaveSketch(*sketch, path);
 }
@@ -694,10 +681,10 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   if (command == "gen") return CmdGen(argc, argv);
-  if (command == "sample") return CmdSample(argc, argv);
+  if (command == "sample" || command == "heavy" || command == "norm") {
+    return CmdQuery(argc, argv);
+  }
   if (command == "duplicates") return CmdDuplicates(argc, argv);
-  if (command == "heavy") return CmdHeavy(argc, argv);
-  if (command == "norm") return CmdNorm(argc, argv);
   if (command == "stats") return CmdStats(argc, argv);
   if (command == "save") return CmdSave(argc, argv);
   if (command == "load") return CmdLoad(argc, argv);
