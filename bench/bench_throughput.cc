@@ -506,7 +506,7 @@ int main(int argc, char** argv) {
 
   // Per-backend forced sweep: the two speedup-gated structures re-measured
   // under every compiled-in kernel backend, so the JSON carries the full
-  // scalar/sse4/avx2 trajectory (and the scalar rows document what the
+  // scalar/avx2 trajectory (and the scalar rows document what the
   // LPS_KERNELS=scalar escape hatch costs).
   std::vector<BackendRow> backend_sweep;
   {

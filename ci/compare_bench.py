@@ -580,7 +580,7 @@ def main():
                 failed.append(f"parallel_ingest {name}")
 
     # Absolute numbers: same machine shape, same mode, and the same
-    # dispatched kernel backend only. A scalar-forced (or SSE4-dispatched)
+    # dispatched kernel backend only. A scalar-forced (or scalar-only)
     # run is a different machine as far as absolute throughput is
     # concerned — comparing it against an AVX2 baseline would report the
     # backend delta as a code regression.

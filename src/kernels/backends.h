@@ -1,9 +1,9 @@
 // Internal registry wiring between the dispatcher and the backend
 // translation units. Each backend exposes a getter that returns its
 // KernelTable, or nullptr when the backend was not compiled in (missing
-// ISA flags, LPS_DISABLE_SIMD, or wrong architecture) — the dispatcher
-// additionally checks CPU support at runtime before using a non-null
-// table. Not part of the public surface.
+// ISA flags, LPS_DISABLE_SIMD, or not x86) — the dispatcher additionally
+// checks CPU support at runtime before using a non-null table. Not part of
+// the public surface.
 #pragma once
 
 #include "src/kernels/kernels.h"
@@ -13,14 +13,7 @@ namespace lps::kernels::internal {
 /// Always available; the bit-identical reference implementation.
 const KernelTable* ScalarTable();
 
-/// SSE4.2 two-lane backend; nullptr unless built with -msse4.2 on x86.
-const KernelTable* Sse4Table();
-
 /// AVX2 four-lane backend; nullptr unless built with -mavx2 on x86.
 const KernelTable* Avx2Table();
-
-/// NEON stub: currently always nullptr, so aarch64 builds dispatch to the
-/// scalar reference. A real NEON port replaces this getter only.
-const KernelTable* NeonTable();
 
 }  // namespace lps::kernels::internal

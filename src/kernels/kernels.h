@@ -5,8 +5,8 @@
 // batch (Horner in GF(2^61 - 1)), signed count-sketch row scatter,
 // GF(2^61 - 1) syndrome power chains, and the p-stable variate transform.
 // This layer names those primitives once and provides a scalar reference
-// backend plus SSE4.2 and AVX2 backends behind a one-time runtime CPUID
-// dispatch, so vectorizing a kernel here accelerates every sketch at once.
+// backend plus an AVX2 backend behind a one-time runtime CPUID dispatch,
+// so vectorizing a kernel here accelerates every sketch at once.
 //
 // Exactness taxonomy (enforced by tests/kernels_test.cc):
 //   - kwise_horner_batch, gf61_mul_batch, count_rows_apply and
@@ -15,18 +15,18 @@
 //     count_rows_apply scatters in stream order, so whole-sketch state is
 //     bit-identical no matter which backend ran.
 //   - cauchy_pow_batch is exact-scalar for p != 1 on every backend; the
-//     AVX2/SSE4.2 p = 1 (Cauchy) path replaces libm's tan with a
-//     polynomial sin(pi x) ratio and a vectorized accumulation order, so
-//     it is query-equivalent (relative error ~1e-15, ULP-bounded by the
-//     tests) but not bit-identical to scalar. The scalar backend is always
+//     AVX2 p = 1 (Cauchy) path replaces libm's tan with a polynomial
+//     sin(pi x) ratio and a vectorized accumulation order, so it is
+//     query-equivalent (relative error ~1e-15, ULP-bounded by the tests)
+//     but not bit-identical to scalar. The scalar backend is always
 //     bit-identical to the pre-kernel-layer code.
 //
-// Backend selection: the first call to Active() probes the CPU
-// (__builtin_cpu_supports) and picks the widest compiled-in backend;
-// LPS_KERNELS=scalar|sse4|avx2 in the environment overrides the choice
-// (falling back, with a one-line stderr note, when the request is not
-// available). Tests and the bench backend sweep switch backends
-// in-process with ForceBackendForTesting.
+// Backend selection: the first call to Active() picks AVX2 when it is
+// compiled in and the CPU (__builtin_cpu_supports) runs it, else scalar;
+// LPS_KERNELS=scalar in the environment forces the scalar reference (any
+// other non-empty value logs a one-line stderr note and keeps that
+// default). Tests and the bench backend sweep switch backends in-process
+// with ForceBackendForTesting.
 #pragma once
 
 #include <cstddef>
@@ -37,13 +37,12 @@ namespace lps::kernels {
 
 enum class Backend : int {
   kScalar = 0,
-  kSse4 = 1,
   kAvx2 = 2,
 };
 
-/// Stable lowercase name ("scalar", "sse4", "avx2") — the vocabulary of
-/// the LPS_KERNELS override, BENCH_throughput.json's "kernel_backend"
-/// field, and the lps_serve STATS report.
+/// Stable lowercase name ("scalar", "avx2") — the vocabulary of
+/// BENCH_throughput.json's "kernel_backend" field, `lps_cli version`, and
+/// the lps_serve STATS report.
 const char* BackendName(Backend backend);
 
 /// One backend's implementation of every kernel. All function pointers are
@@ -85,7 +84,7 @@ struct KernelTable {
   ///   init + sum_t Stable_p(row_base, keys[t]) * deltas[t]
   /// where Stable_p regenerates the (row, i) p-stable variate from
   /// Mix64(row_base ^ key) exactly like StableSketch::StableAtKeyed.
-  /// Scalar backend: bit-identical to the historical loop. SIMD backends:
+  /// Scalar backend: bit-identical to the historical loop. AVX2 backend:
   /// p = 1 uses a vectorized Cauchy transform (query-equivalent, see the
   /// taxonomy above); p != 1 falls back to the exact scalar loop.
   double (*cauchy_pow_batch)(double p, uint64_t row_base, const uint64_t* keys,

@@ -1,5 +1,5 @@
 // The exact scalar p-stable variate transform, shared by the kernel
-// backends (scalar reference and the SIMD backends' p != 1 fallback) and
+// backends (scalar reference and the AVX2 backend's p != 1 fallback) and
 // by StableSketch's query-side helpers. Living here keeps the single
 // definition below the sketch layer so backends never reach upward.
 #pragma once

@@ -37,19 +37,12 @@ void CountMin::ApplyBatch(const U* updates, size_t count) {
     const size_t jj = static_cast<size_t>(j);
     const auto& bc = bucket_[jj].coefficients();
     double* row = table_.data() + jj * static_cast<size_t>(buckets_);
-    if (bc.size() == 2) {
-      // Unsigned pairwise row on the dispatched kernel (bit-identical on
-      // every backend; the scatter is in stream order).
-      kernel.count_rows_apply(reduced_keys_.data(), delta_scratch_.data(),
-                              count, bc[0], bc[1], /*s0=*/0, /*s1=*/0,
-                              /*use_sign=*/false, range, row);
-    } else {
-      for (size_t t = 0; t < count; ++t) {
-        const uint64_t k = hash::ScaleToRange(
-            hash::PolyEval(bc.data(), bc.size(), reduced_keys_[t]), range);
-        row[k] += static_cast<double>(updates[t].delta);
-      }
-    }
+    // Unsigned pairwise row (the constructor builds degree-2 hashes) on the
+    // dispatched kernel: bit-identical on every backend, the scatter is in
+    // stream order.
+    kernel.count_rows_apply(reduced_keys_.data(), delta_scratch_.data(),
+                            count, bc[0], bc[1], /*s0=*/0, /*s1=*/0,
+                            /*use_sign=*/false, range, row);
   }
 }
 

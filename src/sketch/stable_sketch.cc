@@ -101,8 +101,8 @@ void StableSketch::ApplyBatch(const U* updates, size_t count) {
     // The whole row inner product is one CauchyPowBatch call: the kernel
     // regenerates Stable_p(row, i) from row_base ^ key exactly like
     // StableAtKeyed and accumulates against the deltas. The scalar
-    // backend is bit-identical to the historical loop; SIMD backends
-    // vectorize the p = 1 Cauchy transform (query-equivalent).
+    // backend is bit-identical to the historical loop; the AVX2 backend
+    // vectorizes the p = 1 Cauchy transform (query-equivalent).
     const uint64_t row_base =
         seed_ ^ (static_cast<uint64_t>(j) * kRowMul);
     y_[static_cast<size_t>(j)] = kernel.cauchy_pow_batch(

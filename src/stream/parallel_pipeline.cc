@@ -58,7 +58,7 @@ void ParallelPipeline::BatchQueue::Stop() {
 // ------------------------------------------------------ ParallelPipeline --
 
 ParallelPipeline::ParallelPipeline(Options options)
-    : partition_(options.partition), batch_size_(options.batch_size),
+    : batch_size_(options.batch_size),
       queue_capacity_(options.queue_capacity),
       staging_(static_cast<size_t>(options.shards)) {
   LPS_CHECK(options.shards >= 1);
@@ -91,12 +91,8 @@ ParallelPipeline& ParallelPipeline::Add(std::string name,
   return *this;
 }
 
-int ParallelPipeline::ShardOf(const Update& u) {
-  const uint64_t k = staging_.size();
-  if (partition_ == Partition::kByIndex) {
-    return static_cast<int>(Mix64(u.index) % k);
-  }
-  return static_cast<int>(round_robin_next_++ % k);
+int ParallelPipeline::ShardOf(const Update& u) const {
+  return static_cast<int>(Mix64(u.index) % staging_.size());
 }
 
 void ParallelPipeline::ApplyBatch(int s, const Update* updates,

@@ -33,14 +33,10 @@
 // exact-arithmetic structures — tests/parallel_pipeline_test.cc and
 // tests/merge_test.cc enforce both.
 //
-// Two partition policies:
-//   - kByIndex (default): shard = Mix64(coordinate) % k. Every update to
-//     a coordinate lands on the same shard — the natural policy when
-//     shards are fed by a coordinate-keyed router.
-//   - kRoundRobin: updates are dealt to shards in arrival order — the
-//     natural policy for load-balancing a single firehose.
-// Both are valid for any LinearSketch: linearity makes the final state
-// independent of which shard saw which update.
+// Partition policy: shard = Mix64(coordinate) % k, so every update to a
+// coordinate lands on the same shard. Any other split would be equally
+// valid for a LinearSketch — linearity makes the final state independent
+// of which shard saw which update.
 //
 // Epochs: Push keeps flowing after a MergeShards(); each merge closes an
 // epoch (replica 0 accumulates the whole stream so far, replicas 1..k-1
@@ -51,11 +47,11 @@
 // — and is what the server, the distributed worker and lps_cli ingest
 // through; examples/parallel_firehose.cpp writes the loop out by hand.
 //
-// Thread-safety contract: the queues are MPSC-safe, but the partitioner
-// state (staging buffers, round-robin cursor) lives on the producer side —
-// Push/Drive/Flush/MergeShards must be externally serialized (one
-// coordinator thread, or callers taking turns). Add() must complete
-// before the first Push. Workers are internal and never escape.
+// Thread-safety contract: the queues are MPSC-safe, but the staging
+// buffers live on the producer side — Push/Drive/Flush/MergeShards must
+// be externally serialized (one coordinator thread, or callers taking
+// turns). Add() must complete before the first Push. Workers are internal
+// and never escape.
 #pragma once
 
 #include <condition_variable>
@@ -73,11 +69,6 @@ namespace lps::stream {
 
 class ParallelPipeline {
  public:
-  enum class Partition {
-    kByIndex,     ///< shard = Mix64(index) % k (coordinate-sticky)
-    kRoundRobin,  ///< shard = arrival position % k (load-balancing)
-  };
-
   /// Ring capacity in batches per worker: enough that the producer stays
   /// ahead of a momentarily stalled worker, small enough that backpressure
   /// kicks in before unbounded memory growth (8 batches x 64 KiB = 512 KiB
@@ -90,7 +81,6 @@ class ParallelPipeline {
     /// (deterministic single-threaded mode). Values above `shards` are
     /// clamped — one worker per shard is the maximum useful parallelism.
     int threads = 0;
-    Partition partition = Partition::kByIndex;
     size_t batch_size = kDefaultBatchSize;
     size_t queue_capacity = kDefaultQueueCapacity;
   };
@@ -191,16 +181,14 @@ class ParallelPipeline {
     bool stopped_ = false;
   };
 
-  int ShardOf(const Update& u);
+  int ShardOf(const Update& u) const;
   /// Staging buffer -> queue (or inline apply when threads == 0).
   void SealShard(int s);
   void ApplyBatch(int s, const Update* updates, size_t count);
   void WorkerMain(int w);
 
-  Partition partition_;
   size_t batch_size_;
   size_t queue_capacity_;
-  uint64_t round_robin_next_ = 0;
   std::vector<Sink> sinks_;
   std::vector<std::vector<Update>> staging_;  // per-shard, producer-owned
   size_t updates_driven_ = 0;

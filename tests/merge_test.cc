@@ -60,11 +60,9 @@ SerializedState StateOf(const LinearSketch& sketch) {
 }
 
 /// Builds k replicas with `make`, ingests `stream` through an inline
-/// (threads = 0) ParallelPipeline with the given partition, merges, and
-/// returns replica 0 by value.
+/// (threads = 0) ParallelPipeline, merges, and returns replica 0 by value.
 template <typename T, typename MakeFn>
-T ShardedIngest(MakeFn make, const UpdateStream& stream, int k,
-                ParallelPipeline::Partition partition) {
+T ShardedIngest(MakeFn make, const UpdateStream& stream, int k) {
   std::vector<T> replicas;
   replicas.reserve(static_cast<size_t>(k));
   for (int s = 0; s < k; ++s) replicas.push_back(make());
@@ -73,7 +71,6 @@ T ShardedIngest(MakeFn make, const UpdateStream& stream, int k,
   ParallelPipeline::Options options;
   options.shards = k;
   options.threads = 0;
-  options.partition = partition;
   ParallelPipeline driver(options);
   driver.Add("sink", raw);
   driver.Drive(stream);
@@ -81,21 +78,35 @@ T ShardedIngest(MakeFn make, const UpdateStream& stream, int k,
   return std::move(replicas[0]);
 }
 
-/// The exact-family property: for k in {2, 3, 8} and both partition
-/// policies, sharded ingest + merge is bit-identical to solo ingest.
+/// Ingests the stream's even positions into one replica and its odd
+/// positions into another, then merges them. Unlike the pipeline's
+/// coordinate-sticky partition, this splits one coordinate's updates
+/// across both replicas.
+template <typename T, typename MakeFn>
+T EvenOddMerge(MakeFn make, const UpdateStream& stream) {
+  UpdateStream even, odd;
+  for (size_t t = 0; t < stream.size(); ++t) {
+    (t % 2 == 0 ? even : odd).push_back(stream[t]);
+  }
+  T merged = make(), other = make();
+  merged.UpdateBatch(even.data(), even.size());
+  other.UpdateBatch(odd.data(), odd.size());
+  merged.Merge(other);
+  return merged;
+}
+
+/// The exact-family property: sharded ingest + merge for k in {2, 3, 8},
+/// and the even/odd two-replica merge, are bit-identical to solo ingest.
 template <typename T, typename MakeFn>
 void ExpectShardedBitIdentical(MakeFn make, const UpdateStream& stream) {
   T solo = make();
   solo.UpdateBatch(stream.data(), stream.size());
   const SerializedState want = StateOf(solo);
   for (int k : {2, 3, 8}) {
-    for (auto partition : {ParallelPipeline::Partition::kByIndex,
-                           ParallelPipeline::Partition::kRoundRobin}) {
-      T merged = ShardedIngest<T>(make, stream, k, partition);
-      EXPECT_TRUE(StateOf(merged) == want)
-          << "k=" << k << " partition=" << static_cast<int>(partition);
-    }
+    T merged = ShardedIngest<T>(make, stream, k);
+    EXPECT_TRUE(StateOf(merged) == want) << "k=" << k;
   }
+  EXPECT_TRUE(StateOf(EvenOddMerge<T>(make, stream)) == want) << "even/odd";
 }
 
 UpdateStream StrictStream() {
@@ -231,8 +242,7 @@ TEST(MergeEquivalence, PositiveFinderSampleAgreement) {
   auto solo = make();
   solo.UpdateBatch(stream.data(), stream.size());
   for (int k : {2, 8}) {
-    auto merged = ShardedIngest<duplicates::PositiveFinder>(
-        make, stream, k, ParallelPipeline::Partition::kByIndex);
+    auto merged = ShardedIngest<duplicates::PositiveFinder>(make, stream, k);
     EXPECT_EQ(solo.Deficit(), merged.Deficit());
     const auto a = solo.Find();
     const auto b = merged.Find();
@@ -251,8 +261,7 @@ TEST(MergeEquivalence, StableSketchQueryAgreement) {
   auto solo = make();
   solo.UpdateBatch(stream.data(), stream.size());
   for (int k : {2, 3, 8}) {
-    auto merged = ShardedIngest<sketch::StableSketch>(
-        make, stream, k, ParallelPipeline::Partition::kByIndex);
+    auto merged = ShardedIngest<sketch::StableSketch>(make, stream, k);
     EXPECT_NEAR(merged.EstimateNorm(), solo.EstimateNorm(),
                 1e-9 * std::abs(solo.EstimateNorm()));
   }
@@ -263,12 +272,9 @@ TEST(MergeEquivalence, LpNormEstimatorQueryAgreement) {
   auto make = [] { return norm::LpNormEstimator(1.0, 64, 36); };
   auto solo = make();
   solo.UpdateBatch(stream.data(), stream.size());
-  for (int k : {2, 8}) {
-    auto merged = ShardedIngest<norm::LpNormEstimator>(
-        make, stream, k, ParallelPipeline::Partition::kRoundRobin);
-    EXPECT_NEAR(merged.Estimate2Approx(), solo.Estimate2Approx(),
-                1e-9 * solo.Estimate2Approx());
-  }
+  auto merged = EvenOddMerge<norm::LpNormEstimator>(make, stream);
+  EXPECT_NEAR(merged.Estimate2Approx(), solo.Estimate2Approx(),
+              1e-9 * solo.Estimate2Approx());
 }
 
 TEST(MergeEquivalence, LpSamplerSampleAgreement) {
@@ -286,8 +292,7 @@ TEST(MergeEquivalence, LpSamplerSampleAgreement) {
   solo.UpdateBatch(stream.data(), stream.size());
   const auto want = solo.Sample();
   for (int k : {2, 3, 8}) {
-    auto merged = ShardedIngest<core::LpSampler>(
-        make, stream, k, ParallelPipeline::Partition::kByIndex);
+    auto merged = ShardedIngest<core::LpSampler>(make, stream, k);
     const auto got = merged.Sample();
     ASSERT_EQ(want.ok(), got.ok());
     if (want.ok()) {
@@ -313,16 +318,12 @@ TEST(MergeEquivalence, AkoSamplerSampleAgreement) {
   solo.UpdateBatch(stream.data(), stream.size());
   const auto want = solo.Sample();
   ASSERT_TRUE(want.ok());
-  for (int k : {2, 3, 8}) {
-    auto merged = ShardedIngest<core::AkoSampler>(
-        make, stream, k, ParallelPipeline::Partition::kRoundRobin);
-    const auto got = merged.Sample();
-    ASSERT_EQ(want.ok(), got.ok());
-    if (want.ok()) {
-      EXPECT_EQ(want.value().index, got.value().index);
-      EXPECT_NEAR(want.value().estimate, got.value().estimate,
-                  1e-6 * std::abs(want.value().estimate));
-    }
+  const auto got = EvenOddMerge<core::AkoSampler>(make, stream).Sample();
+  ASSERT_EQ(want.ok(), got.ok());
+  if (want.ok()) {
+    EXPECT_EQ(want.value().index, got.value().index);
+    EXPECT_NEAR(want.value().estimate, got.value().estimate,
+                1e-6 * std::abs(want.value().estimate));
   }
 }
 
@@ -341,8 +342,7 @@ TEST(MergeEquivalence, MomentEstimatorEstimateAgreement) {
   const auto want = solo.Estimate();
   ASSERT_TRUE(want.ok());
   for (int k : {2, 8}) {
-    auto merged = ShardedIngest<apps::MomentEstimator>(
-        make, stream, k, ParallelPipeline::Partition::kByIndex);
+    auto merged = ShardedIngest<apps::MomentEstimator>(make, stream, k);
     const auto got = merged.Estimate();
     ASSERT_EQ(want.ok(), got.ok());
     if (want.ok()) {
@@ -365,8 +365,7 @@ TEST(MergeEquivalence, CsHeavyHittersGeneralQueryAgreement) {
   auto solo = make();
   solo.UpdateBatch(stream.data(), stream.size());
   for (int k : {2, 8}) {
-    auto merged = ShardedIngest<heavy::CsHeavyHitters>(
-        make, stream, k, ParallelPipeline::Partition::kByIndex);
+    auto merged = ShardedIngest<heavy::CsHeavyHitters>(make, stream, k);
     EXPECT_EQ(solo.Query(), merged.Query());
   }
 }
@@ -386,8 +385,7 @@ TEST(MergeEquivalence, DuplicateFinderFindAgreement) {
   solo.UpdateBatch(stream.data(), stream.size());
   const auto want = solo.Find();
   for (int k : {2, 3}) {
-    auto merged = ShardedIngest<duplicates::DuplicateFinder>(
-        make, stream, k, ParallelPipeline::Partition::kByIndex);
+    auto merged = ShardedIngest<duplicates::DuplicateFinder>(make, stream, k);
     const auto got = merged.Find();
     ASSERT_EQ(want.ok(), got.ok());
     if (want.ok()) {
@@ -417,7 +415,7 @@ TEST(MergeEquivalence, SparseDuplicateFinderFindAgreement) {
     ASSERT_EQ(want.exact, dups == 3);
     for (int k : {2, 3}) {
       auto merged = ShardedIngest<duplicates::SparseDuplicateFinder>(
-          make, stream, k, ParallelPipeline::Partition::kByIndex);
+          make, stream, k);
       const auto got = merged.Find();
       EXPECT_EQ(static_cast<int>(want.kind), static_cast<int>(got.kind))
           << "dups=" << dups << " k=" << k;

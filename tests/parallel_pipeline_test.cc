@@ -47,15 +47,12 @@ SerializedState StateOf(const LinearSketch& sketch) {
   return {writer.words(), writer.bit_count()};
 }
 
-ParallelPipeline::Options PipelineOptions(
-    int shards, int threads,
-    ParallelPipeline::Partition partition =
-        ParallelPipeline::Partition::kByIndex,
-    size_t batch_size = 64, size_t queue_capacity = 2) {
+ParallelPipeline::Options PipelineOptions(int shards, int threads,
+                                          size_t batch_size = 64,
+                                          size_t queue_capacity = 2) {
   ParallelPipeline::Options options;
   options.shards = shards;
   options.threads = threads;
-  options.partition = partition;
   // Small batches and a 2-deep ring force many seal/enqueue cycles and
   // real backpressure even on short test streams.
   options.batch_size = batch_size;
@@ -80,8 +77,8 @@ T PipelineIngest(MakeFn make, const UpdateStream& stream,
   return std::move(replicas[0]);
 }
 
-/// The tentpole property: k in {1, 2, 8} x t in {0, 1, 4}, both partition
-/// policies — merged state bit-identical to solo ingest.
+/// The tentpole property: k in {1, 2, 8} x t in {0, 1, 4} — merged state
+/// bit-identical to solo ingest.
 template <typename T, typename MakeFn>
 void ExpectAllModesBitIdentical(MakeFn make, const UpdateStream& stream) {
   T solo = make();
@@ -89,14 +86,8 @@ void ExpectAllModesBitIdentical(MakeFn make, const UpdateStream& stream) {
   const SerializedState want = StateOf(solo);
   for (int k : {1, 2, 8}) {
     for (int t : {0, 1, 4}) {
-      for (auto partition : {ParallelPipeline::Partition::kByIndex,
-                             ParallelPipeline::Partition::kRoundRobin}) {
-        T merged = PipelineIngest<T>(
-            make, stream, PipelineOptions(k, t, partition));
-        EXPECT_TRUE(StateOf(merged) == want)
-            << "k=" << k << " t=" << t
-            << " partition=" << static_cast<int>(partition);
-      }
+      T merged = PipelineIngest<T>(make, stream, PipelineOptions(k, t));
+      EXPECT_TRUE(StateOf(merged) == want) << "k=" << k << " t=" << t;
     }
   }
 }
@@ -152,8 +143,7 @@ TEST(ParallelPipeline, InlineMatchesThreadedBitForBit) {
 
   auto via_pipeline = PipelineIngest<sketch::CountSketch>(
       make, stream,
-      PipelineOptions(3, 2, ParallelPipeline::Partition::kByIndex,
-                      stream::kDefaultBatchSize, 8));
+      PipelineOptions(3, 2, stream::kDefaultBatchSize, 8));
   EXPECT_TRUE(StateOf(via_driver[0]) == StateOf(via_pipeline));
 }
 
@@ -297,8 +287,7 @@ TEST(ParallelPipeline, DestructorDrainsWithoutFlush) {
   solo.UpdateBatch(tiny.data(), tiny.size());
   {
     ParallelPipeline pipeline(
-        PipelineOptions(2, 2, ParallelPipeline::Partition::kByIndex,
-                        /*batch_size=*/1, /*queue_capacity=*/1));
+        PipelineOptions(2, 2, /*batch_size=*/1, /*queue_capacity=*/1));
     pipeline.Add("cs", {&replicas[0], &replicas[1]});
     for (const auto& u : tiny) pipeline.Push(u);
   }  // destructor joins workers after draining the rings
